@@ -17,7 +17,7 @@ from .analysis import (
 from .coefficients import (
     CoefficientSpec, Constant, ExpLogPow, Linear, LinTimesExpLogPow, LimitKind,
     LimitVerdict, Power, PowerLog, Regime, RegimeKind, Zero, classify_regime,
-    limit_probe, parse_coefficient, reciprocal_integral_diverges,
+    limit_probe, parse_coefficient,
 )
 from .errors import DomainError, HorizonExceeded, NumericError
 from .functionals import (
@@ -25,7 +25,7 @@ from .functionals import (
     diverges, evaluate, evaluate_many, gain_time, invert, ode_time, rescaled,
     sublinear_time,
 )
-from .logdomain import LOG_CAP, LOG_ZERO, LogReal, log_add, log_scale
+from .logdomain import LOG_CAP, log_add, log_scale
 from .simulator import (
     ConstantHistory, History, RampHistory, Scenario, SimulationError, Trajectory,
     interpolate, parse_history, simulate_direct, simulate_euler,
@@ -37,8 +37,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientSpec", "Constant", "ConstantHistory", "DomainError",
     "EstimateStatus", "EstimationError", "ExpLogPow", "FunctionalKind",
-    "GrowthFunctional", "History", "HorizonExceeded", "LOG_CAP", "LOG_ZERO",
-    "Linear", "LinTimesExpLogPow", "LimitKind", "LimitVerdict", "LogReal",
+    "GrowthFunctional", "History", "HorizonExceeded", "LOG_CAP",
+    "Linear", "LinTimesExpLogPow", "LimitKind", "LimitVerdict",
     "NestedLogProduct", "NumericError", "Observable", "Power", "PowerLog",
     "Prediction", "PredictionRefused", "RampHistory", "RateEstimate", "Regime",
     "RegimeKind", "Scenario", "SimulationError", "SweepPoint", "SweepResult",
@@ -48,7 +48,7 @@ __all__ = [
     "evaluate", "evaluate_many", "format_prediction", "format_verification",
     "gain_time", "interpolate", "invert", "limit_probe", "log_add", "log_scale",
     "ode_time", "parse_coefficient", "parse_history", "predict",
-    "reciprocal_integral_diverges", "rescaled", "simulate_direct",
+    "rescaled", "simulate_direct",
     "simulate_euler", "simulate_undelayed", "solve_char_eq", "sublinear_time",
     "sweep_h", "verify_scenario", "write_trajectory_csv",
 ]

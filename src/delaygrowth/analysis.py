@@ -33,7 +33,7 @@ from .functionals import (
     GrowthFunctional, NestedLogProduct, default_ode_lower, diverges, evaluate,
     evaluate_many, gain_time, invert, ode_time, sublinear_time,
 )
-from .logdomain import LogReal, log_add
+from .logdomain import log_add
 from .simulator import Scenario, Trajectory, simulate_euler
 
 __all__ = [
@@ -192,19 +192,17 @@ def predict(scenario: Scenario) -> Prediction:
         raise PredictionRefused(f"dominance hypothesis failed: {detail}")
 
     notes: tuple[str, ...] = ()
-    functional: GrowthFunctional | None = None
+    functional = default_functional(g)
     if kind is RegimeKind.SUBLINEAR_RV:
         observable = Observable.FUNCTIONAL_OVER_T
         rate = 1.0
-        functional = sublinear_time(g)
     elif kind is RegimeKind.LINEAR_RV:
         observable = Observable.LOG_OVER_T
         rate = solve_char_eq(regime.index, tau)
     elif kind is RegimeKind.RV1_SUPERLINEAR:
         observable = Observable.FUNCTIONAL_OVER_T
         rate = 1.0 / tau
-        if isinstance(g, LinTimesExpLogPow):
-            functional = gain_time(g)
+        if functional is not None:
             a = g.exponent
             notes = (
                 f"equivalently, log x(t) grows like ((1-a) t / tau)^(1/(1-a)) "
@@ -330,8 +328,7 @@ class VerificationResult:
     target: float
     tolerance: float
     slack: float
-    fingerprint: str
-    truncated: bool
+    trajectory: Trajectory
     passed: bool
 
 
@@ -361,8 +358,7 @@ def verify_scenario(scenario: Scenario, tolerance: float = 0.05) -> Verification
               and abs(estimate.point - target) <= tolerance * abs(target) + slack)
     return VerificationResult(
         scenario=scenario, prediction=prediction, estimate=estimate,
-        target=target, tolerance=tolerance, slack=slack,
-        fingerprint=trajectory.fingerprint(), truncated=trajectory.truncated,
+        target=target, tolerance=tolerance, slack=slack, trajectory=trajectory,
         passed=passed)
 
 
@@ -388,8 +384,8 @@ def format_prediction(prediction: Prediction, h: float | None = None) -> str:
 def format_verification(result: VerificationResult) -> str:
     lines = [result.scenario.describe(),
              format_prediction(result.prediction, result.scenario.h),
-             f"trajectory: {result.fingerprint}"
-             + (" (truncated at the log cap)" if result.truncated else ""),
+             f"trajectory: {result.trajectory.fingerprint()}"
+             + (" (truncated at the log cap)" if result.trajectory.truncated else ""),
              f"estimate: {result.estimate.describe()}",
              f"target: {result.target!r} "
              f"(tolerance {result.tolerance:g}"
@@ -471,8 +467,7 @@ def derive_envelope_params(scenario: Scenario, eps: float) -> EnvelopeParams:
     f_ok: list[bool | None] = []
     g_ok: list[bool | None] = []
     for u in ladder:
-        f_ok.append(isinstance(f, Zero)
-                    or f.value_log(u) <= math.log(eps) + eta_log + shape.value_log(u))
+        f_ok.append(f.value_log(u) <= math.log(eps) + eta_log + shape.value_log(u))
         if u < functional.log_lower:
             g_ok.append(False)
             continue
@@ -509,9 +504,9 @@ def derive_envelope_params(scenario: Scenario, eps: float) -> EnvelopeParams:
             "respects the envelope's delay advance")
     x2 = math.exp(ladder[i2])
 
-    start = log_add(log_add(LogReal.from_value(psi_sup), LogReal.from_value(x1)),
-                    LogReal.from_value(x2))
-    base = evaluate(functional, start.log_value)
+    log_x1 = math.log(x1) if x1 > 0.0 else -math.inf
+    start = log_add(log_add(math.log(psi_sup), log_x1), math.log(x2))
+    base = evaluate(functional, start)
     offset = base + advance
     floor_log = invert(functional, base)
     if floor_log <= math.log(psi_sup):
@@ -526,8 +521,7 @@ class EnvelopeCheckResult:
     params: EnvelopeParams
     checked: int
     violations: tuple[int, ...]
-    fingerprint: str
-    truncated: bool
+    trajectory: Trajectory
 
     @property
     def holds(self) -> bool:
@@ -557,9 +551,7 @@ def envelope_check(scenario: Scenario, eps: float) -> EnvelopeCheckResult:
         if not evaluate(functional, state) < bound:
             violations.append(n)
     return EnvelopeCheckResult(params=params, checked=checked,
-                               violations=tuple(violations),
-                               fingerprint=trajectory.fingerprint(),
-                               truncated=trajectory.truncated)
+                               violations=tuple(violations), trajectory=trajectory)
 
 
 def envelope_margins(trajectory: Trajectory, params: EnvelopeParams,

@@ -13,12 +13,14 @@ A run is described by a flat ``key = value`` file (``#`` starts a comment)::
 Invoke as ``delaygrowth CONFIG [KEY=VALUE ...]`` or, without a file, as
 ``delaygrowth COMMAND [KEY=VALUE ...]``; later ``KEY=VALUE`` pairs override
 earlier settings.  Exit codes: 0 success, 1 failed verification or envelope,
-2 configuration or domain problem (including a refused prediction), 3 numeric
+2 configuration or domain problem (including a refused prediction, a config
+file that is not ASCII and an ``out`` path that cannot be written), 3 numeric
 failure before a usable estimate.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -30,8 +32,9 @@ from .analysis import (
 )
 from .coefficients import parse_coefficient
 from .errors import DomainError, HorizonExceeded, NumericError
+from .functionals import GrowthFunctional
 from .simulator import (
-    Scenario, parse_history, simulate_euler, write_trajectory_csv,
+    Scenario, Trajectory, parse_history, simulate_euler, write_trajectory_csv,
 )
 
 COMMANDS = ("simulate", "predict", "verify", "sweep", "chareq", "envelope")
@@ -90,6 +93,8 @@ def parse_config_file(path: str) -> dict[str, str]:
             lines = handle.readlines()
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ConfigError(f"cannot read {path}: not ASCII text") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,13 +153,28 @@ def build_scenario(config: RunConfig) -> Scenario:
                     horizon=config.get_float("horizon"))
 
 
+def _unwritable(path: str, exc: OSError) -> ConfigError:
+    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _write_rows(target: str | None, header: str, rows: list[str]) -> None:
     text = header + "\n" + "".join(row + "\n" for row in rows)
     if target is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(target, "w", encoding="ascii", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise _unwritable(target, exc) from None
+
+
+def _write_trajectory(target: str, trajectory: Trajectory,
+                      functional: GrowthFunctional | None) -> None:
+    try:
+        write_trajectory_csv(trajectory, target, functional)
+    except OSError as exc:
+        raise _unwritable(target, exc) from None
 
 
 def _cell(value) -> str:
@@ -169,7 +189,7 @@ def cmd_simulate(config: RunConfig) -> int:
     if out is None:
         write_trajectory_csv(trajectory, sys.stdout, functional)
     else:
-        write_trajectory_csv(trajectory, out, functional)
+        _write_trajectory(out, trajectory, functional)
         note = " (truncated at the overflow cap)" if trajectory.truncated else ""
         print(f"wrote {len(trajectory.log_states)} rows to {out}{note}")
     return 0
@@ -188,9 +208,7 @@ def cmd_verify(config: RunConfig) -> int:
     print(format_verification(result))
     out = config.values.get("out")
     if out is not None:
-        # deterministic rerun; verify holds no trajectory of its own
-        write_trajectory_csv(simulate_euler(scenario), out,
-                             result.prediction.functional)
+        _write_trajectory(out, result.trajectory, result.prediction.functional)
         print(f"wrote trajectory to {out}")
     return 0 if result.passed else 1
 
@@ -205,6 +223,9 @@ def cmd_sweep(config: RunConfig) -> int:
     except ValueError:
         raise ConfigError(f"key 'N': expected a comma-separated list, got {raw!r}") from None
     tol = config.get_float("tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"key 'tol': must be finite and nonnegative "
+                          f"(0 means relative 5%), got {config.values['tol']!r}")
     result = sweep_h(f, g, config.get_float("tau"), history,
                      config.get_float("horizon"), grids,
                      tolerance=tol if tol > 0 else None)
@@ -239,12 +260,12 @@ def cmd_envelope(config: RunConfig) -> int:
     print(f"offset: {params.offset!r}")
     print(f"floor (log): {params.floor_log!r}")
     print(f"steps checked: {check.checked}"
-          + (" (trajectory truncated at the overflow cap)" if check.truncated else ""))
+          + (" (trajectory truncated at the overflow cap)" if check.trajectory.truncated else ""))
     print(f"violations: {len(check.violations)}")
     print(f"holds: {'yes' if check.holds else 'no'}")
     out = config.values.get("out")
     if out is not None:
-        trajectory = simulate_euler(scenario)
+        trajectory = check.trajectory
         rows = [f"{n},{repr(trajectory.time(n))},{repr(state)},{repr(env)}"
                 for n, state, env in envelope_margins(trajectory, params)]
         _write_rows(out, "n,t,log_x,envelope", rows)

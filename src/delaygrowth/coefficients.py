@@ -11,10 +11,15 @@ config files:
     zero | const(c) | power(c,beta) | linear(C) | xexplogpow(c,alpha)
          | explogpow(c,alpha) | powerlog(c,beta,gamma)
 
-``classify_regime`` maps a delayed term to the growth regime that fixes
-which rate law applies, and ``limit_probe`` renders an empirical verdict on
-a limit of a ratio of two shapes along a ladder of log-scales; predictions
-use it to check their dominance hypotheses before committing to a rate.
+Each shape owns its mathematics: ``regime()`` names the growth regime that
+fixes which rate law applies, ``reciprocal_diverges()`` and
+``gain_diverges()`` say whether the ode-time and gain-time functionals of
+the shape grow without bound, and ``closed_ode``/``closed_gain`` integrate
+them in closed form where an antiderivative is known.  ``classify_regime``
+is the function form of ``regime()``, and ``limit_probe`` renders an
+empirical verdict on a limit of a ratio of two shapes along a ladder of
+log-scales; predictions use it to check their dominance hypotheses before
+committing to a rate.
 """
 
 from __future__ import annotations
@@ -25,13 +30,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
+from scipy.special import gammainc
+
 from .errors import DomainError
-from .logdomain import LogReal
 
 __all__ = [
     "CoefficientSpec", "Zero", "Constant", "Power", "Linear",
     "LinTimesExpLogPow", "ExpLogPow", "PowerLog",
-    "Regime", "RegimeKind", "classify_regime", "reciprocal_integral_diverges",
+    "Regime", "RegimeKind", "classify_regime",
     "LimitKind", "LimitVerdict", "limit_probe", "DEFAULT_PROBE_SCALES",
     "parse_coefficient",
 ]
@@ -64,13 +70,65 @@ def _positive(v: float, what: str) -> None:
              f"{what} must be positive and finite, got {v!r}")
 
 
+# ---------------------------------------------------------------------------
+# growth regimes
+
+class RegimeKind(Enum):
+    SUBLINEAR_RV = "sublinear-rv"
+    LINEAR_RV = "linear-rv"
+    RV1_SUPERLINEAR = "rv1-superlinear"
+    POLY_SUPERLINEAR = "poly-superlinear"
+    FASTER_THAN_POLY = "faster-than-poly"
+    UNSUPPORTED = "unsupported"
+
+
+@dataclass(frozen=True)
+class Regime:
+    """A growth regime, with the index the rate law depends on.
+
+    ``index`` holds the power for the sublinear and polynomial regimes, the
+    slope for the linear regime, and the log-exponent for the
+    faster-than-poly regime; the RV1 regime carries none.
+    """
+
+    kind: RegimeKind
+    index: float | None = None
+
+    def describe(self) -> str:
+        if self.index is None:
+            return self.kind.value
+        return f"{self.kind.value} (index {self.index!r})"
+
+
+_UNSUPPORTED = Regime(RegimeKind.UNSUPPORTED)
+
+
+# ---------------------------------------------------------------------------
+# closed forms
+#
+# Everything is expressed in u = log x.  ``closed_ode`` and ``closed_gain``
+# return the unscaled integral of the matching functional over [la, u], or
+# None when only quadrature will do.
+
+_SQRT_PI_HALF = 0.5 * math.sqrt(math.pi)
+
+
+def _closed_power(c: float, beta: float, la: float, u: float) -> float:
+    if beta == 1.0:
+        return (u - la) / c
+    k = 1.0 - beta
+    return (_exp(k * u) - _exp(k * la)) / (c * k)
+
+
 @dataclass(frozen=True)
 class CoefficientSpec:
     """Base for the catalog.  Subclasses carry the parameters.
 
     Subclasses set ``_MIN_LOG_ARG`` (log of the smallest admissible
     argument) and ``_MIN_INCLUSIVE`` (whether that bound itself is
-    admissible) and implement ``log_term`` / ``value``.
+    admissible), implement ``log_term`` / ``value`` and the two divergence
+    rules, and override ``regime`` and the closed forms where they have
+    them.
     """
 
     _MIN_LOG_ARG = -math.inf
@@ -95,9 +153,6 @@ class CoefficientSpec:
             raise DomainError(f"{self} is undefined at log x = {u!r}")
         return self.log_term(u)
 
-    def eval_log(self, x: LogReal) -> LogReal:
-        return LogReal(self.value_log(x.log_value))
-
     @property
     def domain_threshold(self) -> float:
         """x0 >= 0 such that the shape is positive and continuous on (x0, inf)."""
@@ -109,6 +164,30 @@ class CoefficientSpec:
     def monotone_from(self) -> float:
         """Scale beyond which the shape is nondecreasing."""
         return 0.0
+
+    def regime(self) -> Regime:
+        """The growth regime of this shape as a delayed term."""
+        return _UNSUPPORTED
+
+    def reciprocal_diverges(self) -> bool:
+        """Whether the integral of 1/F over [a, inf) diverges.
+
+        This is the no-finite-time-explosion condition for an instantaneous
+        term, and the divergence rule for the ode-time functional.
+        """
+        raise DomainError(f"no divergence rule for {self!r}")
+
+    def gain_diverges(self) -> bool:
+        """Whether the gain-time functional of this shape grows without bound."""
+        raise DomainError(f"no divergence rule for {self!r}")
+
+    def closed_ode(self, la: float, u: float) -> float | None:
+        """Integral of e^w / F(e^w) over [la, u], or None without a closed form."""
+        return None
+
+    def closed_gain(self, la: float, u: float) -> float | None:
+        """Integral of 1 / log1p(F(e^w) / e^w) over [la, u], or None."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -122,6 +201,12 @@ class Zero(CoefficientSpec):
 
     def value(self, x: float) -> float:
         return 0.0
+
+    def regime(self) -> Regime:
+        raise DomainError("the delayed term must not vanish identically")
+
+    def reciprocal_diverges(self) -> bool:
+        raise DomainError("reciprocal of the zero shape is undefined")
 
     def __str__(self) -> str:
         return "zero"
@@ -141,6 +226,18 @@ class Constant(CoefficientSpec):
 
     def value(self, x: float) -> float:
         return self.level
+
+    def regime(self) -> Regime:
+        return Regime(RegimeKind.SUBLINEAR_RV, 0.0)
+
+    def reciprocal_diverges(self) -> bool:
+        return True
+
+    def gain_diverges(self) -> bool:
+        return True
+
+    def closed_ode(self, la: float, u: float) -> float:
+        return (_exp(u) - _exp(la)) / self.level
 
     def __str__(self) -> str:
         return f"const({self.level!r})"
@@ -168,6 +265,27 @@ class Power(CoefficientSpec):
     def value(self, x: float) -> float:
         return self.coefficient * _pow(x, self.exponent)
 
+    def regime(self) -> Regime:
+        if self.exponent < 1:
+            return Regime(RegimeKind.SUBLINEAR_RV, self.exponent)
+        if self.exponent == 1:
+            return Regime(RegimeKind.LINEAR_RV, self.coefficient)
+        return Regime(RegimeKind.POLY_SUPERLINEAR, self.exponent)
+
+    def reciprocal_diverges(self) -> bool:
+        return self.exponent <= 1
+
+    def gain_diverges(self) -> bool:
+        return True
+
+    def closed_ode(self, la: float, u: float) -> float:
+        return _closed_power(self.coefficient, self.exponent, la, u)
+
+    def closed_gain(self, la: float, u: float) -> float | None:
+        if self.exponent == 1.0:
+            return (u - la) / math.log1p(self.coefficient)
+        return None
+
     def __str__(self) -> str:
         return f"power({self.coefficient!r},{self.exponent!r})"
 
@@ -186,6 +304,21 @@ class Linear(CoefficientSpec):
 
     def value(self, x: float) -> float:
         return self.slope * x
+
+    def regime(self) -> Regime:
+        return Regime(RegimeKind.LINEAR_RV, self.slope)
+
+    def reciprocal_diverges(self) -> bool:
+        return True
+
+    def gain_diverges(self) -> bool:
+        return True
+
+    def closed_ode(self, la: float, u: float) -> float:
+        return (u - la) / self.slope
+
+    def closed_gain(self, la: float, u: float) -> float:
+        return (u - la) / math.log1p(self.slope)
 
     def __str__(self) -> str:
         return f"linear({self.slope!r})"
@@ -222,6 +355,25 @@ class LinTimesExpLogPow(CoefficientSpec):
     def monotone_from(self) -> float:
         return 1.0
 
+    def regime(self) -> Regime:
+        if 0 < self.exponent < 1:
+            return Regime(RegimeKind.RV1_SUPERLINEAR)
+        return _UNSUPPORTED
+
+    def reciprocal_diverges(self) -> bool:
+        # 1/F integrates like exp(-(log u)^alpha) d(log u): finite
+        return False
+
+    def gain_diverges(self) -> bool:
+        return self.exponent <= 1.0
+
+    def closed_ode(self, la: float, u: float) -> float:
+        # integrand e^{-w^alpha}/c; substitute s = w^alpha
+        a = 1.0 / self.exponent
+        lo = float(gammainc(a, _pow(la, self.exponent)))
+        hi = float(gammainc(a, _pow(u, self.exponent)))
+        return math.gamma(a) * a * (hi - lo) / self.coefficient
+
     def __str__(self) -> str:
         return f"xexplogpow({self.coefficient!r},{self.exponent!r})"
 
@@ -255,6 +407,24 @@ class ExpLogPow(CoefficientSpec):
     @property
     def monotone_from(self) -> float:
         return 1.0
+
+    def regime(self) -> Regime:
+        if self.exponent > 1:
+            return Regime(RegimeKind.FASTER_THAN_POLY, self.exponent)
+        return _UNSUPPORTED
+
+    def reciprocal_diverges(self) -> bool:
+        return self.exponent <= 1
+
+    def gain_diverges(self) -> bool:
+        return self.exponent <= 1.0
+
+    def closed_ode(self, la: float, u: float) -> float | None:
+        if self.exponent == 2.0:
+            # integrand e^{w - w^2}/c; complete the square
+            front = math.exp(0.25) * _SQRT_PI_HALF / self.coefficient
+            return front * (math.erf(u - 0.5) - math.erf(la - 0.5))
+        return None
 
     def __str__(self) -> str:
         return f"explogpow({self.coefficient!r},{self.exponent!r})"
@@ -299,95 +469,42 @@ class PowerLog(CoefficientSpec):
             return max(1.0, _exp(-self.log_power / self.power))
         return 1.0
 
+    def regime(self) -> Regime:
+        if self.power == 1 and self.log_power > 0:
+            return Regime(RegimeKind.RV1_SUPERLINEAR)
+        if self.power > 1:
+            return Regime(RegimeKind.POLY_SUPERLINEAR, self.power)
+        return _UNSUPPORTED
+
+    def reciprocal_diverges(self) -> bool:
+        if self.power < 1:
+            return True
+        if self.power == 1:
+            return self.log_power <= 1
+        return False
+
+    def gain_diverges(self) -> bool:
+        return True
+
+    def closed_ode(self, la: float, u: float) -> float | None:
+        if self.log_power == 0.0:
+            return _closed_power(self.coefficient, self.power, la, u)
+        if self.power == 1.0:
+            # integrand (in w) is w^{-gamma}/c; lower > 1 keeps la positive
+            g = self.log_power
+            if g == 1.0:
+                return (math.log(u) - math.log(la)) / self.coefficient
+            k = 1.0 - g
+            return (_pow(u, k) - _pow(la, k)) / (self.coefficient * k)
+        return None
+
     def __str__(self) -> str:
         return f"powerlog({self.coefficient!r},{self.power!r},{self.log_power!r})"
 
 
-# ---------------------------------------------------------------------------
-# regime classification
-
-class RegimeKind(Enum):
-    SUBLINEAR_RV = "sublinear-rv"
-    LINEAR_RV = "linear-rv"
-    RV1_SUPERLINEAR = "rv1-superlinear"
-    POLY_SUPERLINEAR = "poly-superlinear"
-    FASTER_THAN_POLY = "faster-than-poly"
-    UNSUPPORTED = "unsupported"
-
-
-@dataclass(frozen=True)
-class Regime:
-    """A growth regime, with the index the rate law depends on.
-
-    ``index`` holds the power for the sublinear and polynomial regimes, the
-    slope for the linear regime, and the log-exponent for the
-    faster-than-poly regime; the RV1 regime carries none.
-    """
-
-    kind: RegimeKind
-    index: float | None = None
-
-    def describe(self) -> str:
-        if self.index is None:
-            return self.kind.value
-        return f"{self.kind.value} (index {self.index!r})"
-
-
 def classify_regime(g: CoefficientSpec) -> Regime:
     """The regime of a delayed term; a pure function of shape and parameters."""
-    if isinstance(g, Zero):
-        raise DomainError("the delayed term must not vanish identically")
-    if isinstance(g, Constant):
-        return Regime(RegimeKind.SUBLINEAR_RV, 0.0)
-    if isinstance(g, Power):
-        if g.exponent < 1:
-            return Regime(RegimeKind.SUBLINEAR_RV, g.exponent)
-        if g.exponent == 1:
-            return Regime(RegimeKind.LINEAR_RV, g.coefficient)
-        return Regime(RegimeKind.POLY_SUPERLINEAR, g.exponent)
-    if isinstance(g, Linear):
-        return Regime(RegimeKind.LINEAR_RV, g.slope)
-    if isinstance(g, LinTimesExpLogPow):
-        if 0 < g.exponent < 1:
-            return Regime(RegimeKind.RV1_SUPERLINEAR)
-        return Regime(RegimeKind.UNSUPPORTED)
-    if isinstance(g, PowerLog):
-        if g.power == 1 and g.log_power > 0:
-            return Regime(RegimeKind.RV1_SUPERLINEAR)
-        if g.power > 1:
-            return Regime(RegimeKind.POLY_SUPERLINEAR, g.power)
-        return Regime(RegimeKind.UNSUPPORTED)
-    if isinstance(g, ExpLogPow):
-        if g.exponent > 1:
-            return Regime(RegimeKind.FASTER_THAN_POLY, g.exponent)
-        return Regime(RegimeKind.UNSUPPORTED)
-    return Regime(RegimeKind.UNSUPPORTED)
-
-
-def reciprocal_integral_diverges(spec: CoefficientSpec) -> bool:
-    """Whether the integral of 1/F over [a, inf) diverges, per variant.
-
-    This is the no-finite-time-explosion condition for an instantaneous
-    term, and the divergence rule for the matching growth functional.
-    """
-    if isinstance(spec, Zero):
-        raise DomainError("reciprocal of the zero shape is undefined")
-    if isinstance(spec, (Constant, Linear)):
-        return True
-    if isinstance(spec, Power):
-        return spec.exponent <= 1
-    if isinstance(spec, PowerLog):
-        if spec.power < 1:
-            return True
-        if spec.power == 1:
-            return spec.log_power <= 1
-        return False
-    if isinstance(spec, LinTimesExpLogPow):
-        # 1/F integrates like exp(-(log u)^alpha) d(log u): finite
-        return False
-    if isinstance(spec, ExpLogPow):
-        return spec.exponent <= 1
-    raise DomainError(f"no divergence rule for {spec!r}")
+    return g.regime()
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,10 @@ here must stay finite and accurate while x itself is only represented by
 its logarithm.
 
 All evaluation happens in the substituted variable w = log u.  Shapes with
-known antiderivatives (most of the catalog) are integrated in closed form;
-the rest go through an adaptive Gauss-Legendre scheme on the transformed
+known antiderivatives (most of the catalog) are integrated in closed form
+by their own ``closed_ode``/``closed_gain`` methods, and answer whether the
+functional diverges through ``reciprocal_diverges``/``gain_diverges``; the
+rest go through an adaptive Gauss-Legendre scheme on the transformed
 integrand, which is smooth and bounded away from the blow-up scales.
 """
 
@@ -29,36 +31,16 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammainc
 
-from .coefficients import (
-    CoefficientSpec, Constant, Linear, LinTimesExpLogPow, ExpLogPow, Power,
-    PowerLog, Zero, reciprocal_integral_diverges,
-)
+from .coefficients import CoefficientSpec, Zero, _exp
 from .errors import DomainError, HorizonExceeded, NumericError
 
 __all__ = [
     "FunctionalKind", "GrowthFunctional", "NestedLogProduct",
     "ode_time", "sublinear_time", "gain_time", "rescaled", "default_ode_lower",
-    "evaluate", "evaluate_many", "invert", "diverges", "has_closed_form",
+    "evaluate", "evaluate_many", "invert", "diverges",
     "QUAD_ABS_TOL", "QUAD_REL_TOL", "QUAD_MAX_DEPTH",
 ]
-
-
-def _exp(v: float) -> float:
-    try:
-        return math.exp(v)
-    except OverflowError:
-        return math.inf
-
-
-def _pow(base: float, exponent: float) -> float:
-    try:
-        return base ** exponent
-    except OverflowError:
-        return math.inf
-    except ZeroDivisionError:
-        return math.inf
 
 
 def _softplus(u: float) -> float:
@@ -107,6 +89,17 @@ class NestedLogProduct(CoefficientSpec):
     def antiderivative_log_arg(self, u: float) -> float:
         """log_depth(1 + e^u): the antiderivative of 1/phi at log-argument u."""
         return self._chain(u)[-1]
+
+    def reciprocal_diverges(self) -> bool:
+        return True
+
+    def gain_diverges(self) -> bool:
+        # g(u)/u grows like the iterated logs, so 1/log1p(g(u)/u) decays
+        # no faster than 1/log w and its integral over w diverges
+        return True
+
+    def closed_ode(self, la: float, u: float) -> float:
+        return self.antiderivative_log_arg(u) - self.antiderivative_log_arg(la)
 
     def value(self, x: float) -> float:
         if x <= self.domain_threshold:
@@ -200,76 +193,12 @@ def default_ode_lower(phi: CoefficientSpec, history_floor: float) -> float:
     return max(history_floor, phi.domain_threshold, math.e)
 
 
-# ---------------------------------------------------------------------------
-# closed forms
-#
-# Everything is expressed in u = log x.  A dispatcher returns the unscaled
-# integral over [log lower, u], or None when only quadrature will do.
-
-_SQRT_PI_HALF = 0.5 * math.sqrt(math.pi)
-
-
-def _closed_power(c: float, beta: float, la: float, u: float) -> float:
-    if beta == 1.0:
-        return (u - la) / c
-    k = 1.0 - beta
-    return (_exp(k * u) - _exp(k * la)) / (c * k)
-
-
-def _closed_ode(coeff: CoefficientSpec, la: float, u: float) -> float | None:
-    if isinstance(coeff, NestedLogProduct):
-        return coeff.antiderivative_log_arg(u) - coeff.antiderivative_log_arg(la)
-    if isinstance(coeff, Constant):
-        return (_exp(u) - _exp(la)) / coeff.level
-    if isinstance(coeff, Linear):
-        return (u - la) / coeff.slope
-    if isinstance(coeff, Power):
-        return _closed_power(coeff.coefficient, coeff.exponent, la, u)
-    if isinstance(coeff, PowerLog):
-        if coeff.log_power == 0.0:
-            return _closed_power(coeff.coefficient, coeff.power, la, u)
-        if coeff.power == 1.0:
-            # integrand (in w) is w^{-gamma}/c; lower > 1 keeps la positive
-            g = coeff.log_power
-            if g == 1.0:
-                return (math.log(u) - math.log(la)) / coeff.coefficient
-            k = 1.0 - g
-            return (_pow(u, k) - _pow(la, k)) / (coeff.coefficient * k)
-        return None
-    if isinstance(coeff, LinTimesExpLogPow):
-        # integrand e^{-w^alpha}/c; substitute s = w^alpha
-        a = 1.0 / coeff.exponent
-        lo = float(gammainc(a, _pow(la, coeff.exponent)))
-        hi = float(gammainc(a, _pow(u, coeff.exponent)))
-        return math.gamma(a) * a * (hi - lo) / coeff.coefficient
-    if isinstance(coeff, ExpLogPow):
-        if coeff.exponent == 2.0:
-            # integrand e^{w - w^2}/c; complete the square
-            front = math.exp(0.25) * _SQRT_PI_HALF / coeff.coefficient
-            return front * (math.erf(u - 0.5) - math.erf(la - 0.5))
-        return None
-    return None
-
-
-def _closed_gain(coeff: CoefficientSpec, la: float, u: float) -> float | None:
-    if isinstance(coeff, Linear):
-        return (u - la) / math.log1p(coeff.slope)
-    if isinstance(coeff, Power) and coeff.exponent == 1.0:
-        return (u - la) / math.log1p(coeff.coefficient)
-    return None
-
-
-def has_closed_form(functional: GrowthFunctional) -> bool:
-    c = functional.coeff
+def _closed(functional: GrowthFunctional, log_x: float) -> float | None:
+    """The shape's closed form of the unscaled functional at log x, or None."""
+    coeff, la = functional.coeff, functional.log_lower
     if functional.kind is FunctionalKind.ODE_TIME:
-        if isinstance(c, (NestedLogProduct, Constant, Linear, Power, LinTimesExpLogPow)):
-            return True
-        if isinstance(c, PowerLog):
-            return c.log_power == 0.0 or c.power == 1.0
-        if isinstance(c, ExpLogPow):
-            return c.exponent == 2.0
-        return False
-    return isinstance(c, Linear) or (isinstance(c, Power) and c.exponent == 1.0)
+        return coeff.closed_ode(la, log_x)
+    return coeff.closed_gain(la, log_x)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +274,7 @@ def evaluate(functional: GrowthFunctional, log_x: float) -> float:
             f"argument log x = {log_x!r} lies below the lower reference (log {la:g})")
     if log_x == la:
         return 0.0
-    closed = (_closed_ode if functional.kind is FunctionalKind.ODE_TIME
-              else _closed_gain)(functional.coeff, la, log_x)
+    closed = _closed(functional, log_x)
     if closed is None:
         closed = _adaptive(_integrand(functional), la, log_x)
     return closed / functional.scale
@@ -362,7 +290,8 @@ def evaluate_many(functional: GrowthFunctional, log_xs: Sequence[float]) -> list
     if not points:
         return []
     ascending = all(b >= a for a, b in zip(points, points[1:]))
-    if has_closed_form(functional) or not ascending:
+    # a closed form at the lower reference means one everywhere
+    if not ascending or _closed(functional, functional.log_lower) is not None:
         return [evaluate(functional, v) for v in points]
     fn = _integrand(functional)
     out = [evaluate(functional, points[0])]
@@ -420,21 +349,6 @@ def invert(functional: GrowthFunctional, y: float) -> float:
 
 def diverges(functional: GrowthFunctional) -> bool:
     """Whether F(x) grows without bound as x does."""
-    coeff = functional.coeff
     if functional.kind is FunctionalKind.ODE_TIME:
-        if isinstance(coeff, NestedLogProduct):
-            return True
-        try:
-            return reciprocal_integral_diverges(coeff)
-        except DomainError:
-            pass
-    else:
-        if isinstance(coeff, (Constant, Linear, Power, PowerLog)):
-            return True
-        if isinstance(coeff, (LinTimesExpLogPow, ExpLogPow)):
-            return coeff.exponent <= 1.0
-    # unknown shape: compare the functional at two distant rungs
-    base = max(functional.log_lower + 1.0, 1e3)
-    near = evaluate(functional, base)
-    far = evaluate(functional, 1e6)
-    return far > 10.0 * near
+        return functional.coeff.reciprocal_diverges()
+    return functional.coeff.gain_diverges()

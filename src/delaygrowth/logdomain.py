@@ -2,14 +2,14 @@
 
 The states of a delay-dominated growth equation leave the double range
 almost immediately in the fast regimes, so every positive quantity x is
-represented by log x and sums are formed with the standard rearrangement
+carried as the plain float log x and sums are formed with the standard
+rearrangement
 
     log(a + b) = max + log1p(exp(min - max))
 
-which never overflows.  Zero gets a bottom element with log value -inf.
-There is no subtraction: the recursions treated here only add positive
-terms, and the ordering of represented values is the ordering of their
-log values.
+which never overflows.  Zero is the log value -inf.  There is no
+subtraction: the recursions treated here only add positive terms, and the
+ordering of represented values is the ordering of their log values.
 
 A result whose log value would exceed ``LOG_CAP`` raises
 :class:`~delaygrowth.errors.HorizonExceeded`; callers that iterate (the
@@ -19,7 +19,6 @@ simulator) convert that into a truncated run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, HorizonExceeded
 
@@ -30,67 +29,26 @@ LOG_CAP = 1e308
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True, order=True)
-class LogReal:
-    """A nonnegative real number stored as its natural log.
-
-    ``log_value = -inf`` encodes zero.  Comparison operators order by the
-    represented value (log is monotone, so field order suffices).
-    """
-
-    log_value: float
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogReal":
-        """Wrap a plain nonnegative float."""
-        if math.isnan(x) or x < 0.0:
-            raise DomainError(f"cannot represent {x!r} in the log domain")
-        if x == 0.0:
-            return LOG_ZERO
-        return cls(math.log(x))
-
-    @property
-    def value(self) -> float:
-        """The represented number as a plain float; inf past the double range."""
-        if self.log_value == _NEG_INF:
-            return 0.0
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log_value == _NEG_INF
-
-    def __repr__(self) -> str:  # keeps pytest output readable
-        return f"LogReal({self.log_value!r})"
-
-
-LOG_ZERO = LogReal(_NEG_INF)
-
-
-def _capped(log_value: float) -> LogReal:
+def _capped(log_value: float) -> float:
     if log_value > LOG_CAP:
         raise HorizonExceeded(f"log value {log_value!r} exceeds the cap {LOG_CAP:g}")
-    return LogReal(log_value)
+    return log_value
 
 
-def log_add(a: LogReal, b: LogReal) -> LogReal:
-    """Sum of the represented values."""
-    x, y = a.log_value, b.log_value
+def log_add(x: float, y: float) -> float:
+    """log(a + b) from x = log a and y = log b."""
     if x == _NEG_INF:
-        return b
+        return y
     if y == _NEG_INF:
-        return a
+        return x
     hi, lo = (x, y) if x >= y else (y, x)
     return _capped(hi + math.log1p(math.exp(lo - hi)))
 
 
-def log_scale(a: LogReal, c: float) -> LogReal:
-    """The represented value multiplied by a positive constant c."""
+def log_scale(x: float, c: float) -> float:
+    """log(c a) from x = log a, for a positive constant c."""
     if math.isnan(c) or c <= 0.0 or math.isinf(c):
         raise DomainError(f"scale factor must be positive and finite, got {c!r}")
-    if a.log_value == _NEG_INF:
-        return a
-    return _capped(a.log_value + math.log(c))
+    if x == _NEG_INF:
+        return x
+    return _capped(x + math.log(c))

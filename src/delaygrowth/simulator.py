@@ -24,10 +24,10 @@ import re
 from dataclasses import dataclass
 from typing import IO
 
-from .coefficients import CoefficientSpec, Zero, classify_regime, RegimeKind
+from .coefficients import CoefficientSpec, Zero, classify_regime, RegimeKind, _positive
 from .errors import DomainError, HorizonExceeded, NumericError
 from .functionals import GrowthFunctional, evaluate_many
-from .logdomain import LogReal, log_add, log_scale
+from .logdomain import log_add, log_scale
 
 __all__ = [
     "History", "ConstantHistory", "RampHistory", "parse_history",
@@ -39,11 +39,6 @@ __all__ = [
 
 class SimulationError(NumericError):
     """A step produced a state that is not a number."""
-
-
-def _positive(v: float, what: str) -> None:
-    if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-        raise DomainError(f"{what} must be positive and finite, got {v!r}")
 
 
 class History:
@@ -206,6 +201,7 @@ class Trajectory:
         return range(self.n_start, self.n_end + 1)
 
     def fingerprint(self) -> str:
+        """First 16 hex digits of the SHA-256 of the states and the truncation flag."""
         payload = ",".join(repr(v) for v in self.log_states)
         payload += f";truncated={self.truncated}"
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
@@ -215,23 +211,21 @@ def simulate_euler(scenario: Scenario) -> Trajectory:
     """Run the recursion in the log domain up to the horizon or the cap."""
     n_delay = scenario.steps_per_delay
     h = scenario.h
-    states: list[LogReal] = [LogReal(math.log(v)) for v in scenario.history_samples()]
+    f_log, g_log = scenario.f.value_log, scenario.g.value_log
+    states = [math.log(v) for v in scenario.history_samples()]
     truncated = False
     for _ in range(scenario.planned_steps()):
         current = states[-1]
-        delayed = states[-1 - n_delay]
         try:
-            step = log_add(current, log_scale(scenario.f.eval_log(current), h))
-            step = log_add(step, log_scale(scenario.g.eval_log(delayed), h))
+            step = log_add(current, log_scale(f_log(current), h))
+            step = log_add(step, log_scale(g_log(states[-1 - n_delay]), h))
         except HorizonExceeded:
             truncated = True
             break
-        if math.isnan(step.log_value):
+        if math.isnan(step):
             raise SimulationError(f"state became undefined after {len(states)} samples")
         states.append(step)
-    return Trajectory(scenario=scenario,
-                      log_states=tuple(s.log_value for s in states),
-                      truncated=truncated)
+    return Trajectory(scenario=scenario, log_states=tuple(states), truncated=truncated)
 
 
 def simulate_direct(scenario: Scenario, cap: float = 1e15) -> Trajectory:
@@ -285,10 +279,7 @@ class UndelayedRun:
     log_states: tuple[float, ...]
     truncated: bool
 
-    def fingerprint(self) -> str:
-        payload = ",".join(repr(v) for v in self.log_states)
-        payload += f";truncated={self.truncated}"
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+    fingerprint = Trajectory.fingerprint
 
 
 def simulate_undelayed(g: CoefficientSpec, start: float, n_steps: int) -> UndelayedRun:
@@ -306,18 +297,17 @@ def simulate_undelayed(g: CoefficientSpec, start: float, n_steps: int) -> Undela
         raise DomainError(f"step count must be a nonnegative integer, got {n_steps!r}")
     if not g.supports(math.log(start)):
         raise DomainError(f"start value {start!r} lies outside the domain of {g}")
-    y = LogReal(math.log(start))
+    y = math.log(start)
     states = [y]
     truncated = False
     for _ in range(n_steps):
         try:
-            y = log_add(y, g.eval_log(y))
+            y = log_add(y, g.value_log(y))
         except HorizonExceeded:
             truncated = True
             break
         states.append(y)
-    return UndelayedRun(log_states=tuple(s.log_value for s in states),
-                        truncated=truncated)
+    return UndelayedRun(log_states=tuple(states), truncated=truncated)
 
 
 def write_trajectory_csv(trajectory: Trajectory, target,

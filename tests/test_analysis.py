@@ -329,7 +329,7 @@ def test_envelope_holds_for_sublinear_growth():
     check = envelope_check(scenario(steps_per_delay=8, horizon=50.0), 0.5)
     assert check.holds
     assert check.checked == 8 * 50 + 8 + 1
-    assert not check.truncated
+    assert not check.trajectory.truncated
 
 
 def test_envelope_holds_for_polynomial_growth():

@@ -186,6 +186,34 @@ def test_sweep_rejects_a_malformed_grid_list(capsys):
     assert "comma-separated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "g=const(2)", "tau=1", "psi=const(1)", "N=2", "horizon=3"],
+    ["verify", "g=power(1,0.5)", "tau=1", "psi=const(1)", "N=4", "horizon=150"],
+    ["sweep", "g=const(2)", "tau=1", "psi=const(1)", "N=2,4,8", "horizon=200"],
+    ["envelope", "g=const(2)", "tau=1", "psi=const(1)", "N=4", "horizon=60"],
+], ids=lambda args: args[0])
+def test_unwritable_out_exits_2(tmp_path, capsys, args):
+    # exit 1 would read as a failed verification
+    out = tmp_path / "missing" / "out.csv"
+    assert main(args + [f"out={out}"]) == 2
+    assert f"error: cannot write {out}: No such file or directory" in capsys.readouterr().err
+
+
+def test_non_ascii_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_bytes((SUBLINEAR + "# delay \u03c4\n").encode("utf-8"))
+    assert main([str(path)]) == 2
+    assert f"error: cannot read {path}: not ASCII text" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+def test_sweep_rejects_a_negative_or_non_finite_tolerance(tol, capsys):
+    code = main(["sweep", "g=const(2)", "tau=1", "psi=const(1)",
+                 "N=2,4,8", "horizon=200", f"tol={tol}"])
+    assert code == 2
+    assert "key 'tol'" in capsys.readouterr().err
+
+
 def test_envelope_reports_and_writes_margins(tmp_path, capsys):
     out = tmp_path / "margins.csv"
     code = main(["envelope", "g=const(2)", "tau=1", "psi=const(1)",
@@ -203,7 +231,9 @@ def test_envelope_violation_exits_1(monkeypatch, capsys):
     class Fake:
         class params:
             eps, rate, offset, floor_log = 0.5, 1.0, 2.0, 1.0
-        checked, violations, truncated = 7, (3,), False
+        class trajectory:
+            truncated = False
+        checked, violations = 7, (3,)
         holds = False
     monkeypatch.setattr(cli, "envelope_check", lambda scenario, eps: Fake)
     code = main(["envelope", "g=const(2)", "tau=1", "psi=const(1)",

@@ -6,7 +6,6 @@ from hypothesis import assume, given, strategies as st
 from delaygrowth.coefficients import (
     Constant, ExpLogPow, LimitKind, Linear, LinTimesExpLogPow, Power, PowerLog,
     Regime, RegimeKind, Zero, classify_regime, limit_probe, parse_coefficient,
-    reciprocal_integral_diverges,
 )
 from delaygrowth.errors import DomainError
 
@@ -160,12 +159,12 @@ def test_regime_describe_mentions_the_index():
     (ExpLogPow(1.0, 2.0), False),
 ])
 def test_reciprocal_integral_divergence_rules(spec, diverges):
-    assert reciprocal_integral_diverges(spec) is diverges
+    assert spec.reciprocal_diverges() is diverges
 
 
 def test_reciprocal_of_zero_is_rejected():
     with pytest.raises(DomainError):
-        reciprocal_integral_diverges(Zero())
+        Zero().reciprocal_diverges()
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from delaygrowth.coefficients import (
 from delaygrowth.errors import DomainError, HorizonExceeded
 from delaygrowth.functionals import (
     FunctionalKind, GrowthFunctional, NestedLogProduct, default_ode_lower,
-    diverges, evaluate, evaluate_many, gain_time, has_closed_form, invert,
+    diverges, evaluate, evaluate_many, gain_time, invert,
     ode_time, rescaled, sublinear_time,
 )
 
@@ -94,7 +94,7 @@ def test_gain_closed_form():
 ])
 def test_ode_quadrature_matches_reference(coeff, lower, u):
     F = ode_time(coeff, lower)
-    assert not has_closed_form(F)
+    assert coeff.closed_ode(F.log_lower, u) is None
     ref, ref_err = quad(lambda w: math.exp(w) / coeff.value(math.exp(w)),
                         math.log(lower), u, limit=200)
     assert evaluate(F, u) == pytest.approx(ref, rel=1e-8, abs=10.0 * ref_err)
@@ -203,6 +203,7 @@ def test_invert_out_of_range_raises_horizon():
     (gain_time(LinTimesExpLogPow(1.0, 1.5)), False),
     (gain_time(ExpLogPow(1.0, 2.0)), False),
     (gain_time(ExpLogPow(1.0, 0.5)), True),
+    (GrowthFunctional(FunctionalKind.GAIN_TIME, NestedLogProduct(3), math.e), True),
 ])
 def test_divergence_rules(F, expected):
     assert diverges(F) is expected
