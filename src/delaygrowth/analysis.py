@@ -262,8 +262,9 @@ MIN_POST_WARMUP = 100
 
 def _observable_values(trajectory: Trajectory, observable: Observable,
                        functional: GrowthFunctional | None,
-                       ns: Sequence[int]) -> list[float]:
-    states = [trajectory.state(n) for n in ns]
+                       ns: range) -> list[float]:
+    offset = trajectory.n_start
+    states = list(trajectory.log_states[ns.start - offset:ns.stop - offset])
     if observable is Observable.FUNCTIONAL_OVER_T:
         if functional is None:
             raise DomainError("this observable needs a growth functional")

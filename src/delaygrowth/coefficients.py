@@ -3,7 +3,8 @@
 A scenario's instantaneous term f and delayed term g are each drawn from a
 small closed family.  Every shape knows how to evaluate itself analytically
 in the log domain: given u = log x it returns log F(x) directly, so states
-of any magnitude cost one float expression.  Shapes also expose their
+of any magnitude cost one float expression; ``log_terms`` does the same
+for an array of u, bit for bit.  Shapes also expose their
 domain threshold (the scale above which they are positive and continuous),
 the scale beyond which they are nondecreasing, and a textual syntax used by
 config files:
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
+import numpy as np
 from scipy.special import gammainc
 
 from .errors import DomainError
@@ -137,6 +139,15 @@ class CoefficientSpec:
     def log_term(self, u: float) -> float:
         raise NotImplementedError
 
+    def log_terms(self, us: np.ndarray) -> np.ndarray:
+        """``log_term`` at each u of a float array, mapped over Python floats.
+
+        Shapes affine in u override this with array arithmetic; numpy's
+        ``log``, ``exp``, ``log1p`` and ``**`` do not round like the math
+        module's, so the other shapes keep the scalar formula.
+        """
+        return np.array([self.log_term(u) for u in us.tolist()])
+
     def value(self, x: float) -> float:
         """Direct float evaluation, for cross-checks and direct-mode runs."""
         raise NotImplementedError
@@ -224,6 +235,9 @@ class Constant(CoefficientSpec):
     def log_term(self, u: float) -> float:
         return math.log(self.level)
 
+    def log_terms(self, us: np.ndarray) -> np.ndarray:
+        return np.full(len(us), math.log(self.level))
+
     def value(self, x: float) -> float:
         return self.level
 
@@ -261,6 +275,9 @@ class Power(CoefficientSpec):
 
     def log_term(self, u: float) -> float:
         return math.log(self.coefficient) + self.exponent * u
+
+    def log_terms(self, us: np.ndarray) -> np.ndarray:
+        return math.log(self.coefficient) + self.exponent * us
 
     def value(self, x: float) -> float:
         return self.coefficient * _pow(x, self.exponent)
@@ -301,6 +318,9 @@ class Linear(CoefficientSpec):
 
     def log_term(self, u: float) -> float:
         return math.log(self.slope) + u
+
+    def log_terms(self, us: np.ndarray) -> np.ndarray:
+        return math.log(self.slope) + us
 
     def value(self, x: float) -> float:
         return self.slope * x

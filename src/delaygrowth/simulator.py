@@ -10,6 +10,18 @@ states are carried in the log domain; a run that outgrows the log cap is
 returned truncated rather than failing, since reaching the cap quickly is
 exactly what the fast regimes do.
 
+When f is zero and N >= ``WINDOW_MIN_STEPS``, the run advances one delay
+window at a time (the method of steps): the N states after x[n] depend only
+on x[n-N] .. x[n], so the window is one ``np.logaddexp.accumulate`` seeded
+with x[n] over the terms log g(x[k]) + log h.  The states are bit-identical
+to the per-step loop, which f != 0 and small N keep.  That rests on numpy's
+``+``, ``*`` and ``logaddexp`` rounding like the scalar arithmetic, which
+holds; numpy's ``log``, ``exp``, ``log1p`` and ``**`` do not (on 500k
+inputs drawn from [0, 700] they differed from the math module on 60 for
+``log`` up to 26,750 for ``**1.7``), so only the shapes affine in log x
+(const, power, linear) evaluate g on an array, and the others map their
+scalar formula over the window.
+
 ``simulate_direct`` repeats the computation in plain float arithmetic as
 an independent cross-check for ranges where that is possible, and
 ``simulate_undelayed`` iterates the pure recursion y[k+1] = y[k] + g(y[k])
@@ -19,15 +31,23 @@ that the delayed dynamics shadow in the superlinear regimes.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 from dataclasses import dataclass
 from typing import IO
 
+import numpy as np
+
 from .coefficients import CoefficientSpec, Zero, classify_regime, RegimeKind, _positive
 from .errors import DomainError, HorizonExceeded, NumericError
 from .functionals import GrowthFunctional, evaluate_many
-from .logdomain import log_add, log_scale
+from .logdomain import LOG_CAP, log_add, log_scale
+
+# Below this many steps per delay the per-step loop is faster: a window costs
+# a fixed handful of numpy calls (measured: 1.4-1.7x the loop's time at N = 2,
+# even at N = 3, about 15% less at N = 4, for const, power and xexplogpow).
+WINDOW_MIN_STEPS = 4
 
 __all__ = [
     "History", "ConstantHistory", "RampHistory", "parse_history",
@@ -202,30 +222,71 @@ class Trajectory:
 
     def fingerprint(self) -> str:
         """First 16 hex digits of the SHA-256 of the states and the truncation flag."""
-        payload = ",".join(repr(v) for v in self.log_states)
+        payload = ",".join(map(repr, self.log_states))
         payload += f";truncated={self.truncated}"
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
 def simulate_euler(scenario: Scenario) -> Trajectory:
     """Run the recursion in the log domain up to the horizon or the cap."""
+    states = [math.log(v) for v in scenario.history_samples()]
+    if isinstance(scenario.f, Zero) and scenario.steps_per_delay >= WINDOW_MIN_STEPS:
+        truncated = _step_windows(scenario, states)
+    else:
+        truncated = _step_singly(scenario, states)
+    return Trajectory(scenario=scenario, log_states=tuple(states), truncated=truncated)
+
+
+def _step_singly(scenario: Scenario, states: list[float]) -> bool:
+    """Append states one Euler step at a time; True when the cap cut the run."""
     n_delay = scenario.steps_per_delay
     h = scenario.h
     f_log, g_log = scenario.f.value_log, scenario.g.value_log
-    states = [math.log(v) for v in scenario.history_samples()]
-    truncated = False
     for _ in range(scenario.planned_steps()):
         current = states[-1]
         try:
             step = log_add(current, log_scale(f_log(current), h))
             step = log_add(step, log_scale(g_log(states[-1 - n_delay]), h))
         except HorizonExceeded:
-            truncated = True
-            break
+            return True
         if math.isnan(step):
             raise SimulationError(f"state became undefined after {len(states)} samples")
         states.append(step)
-    return Trajectory(scenario=scenario, log_states=tuple(states), truncated=truncated)
+    return False
+
+
+def _step_windows(scenario: Scenario, states: list[float]) -> bool:
+    """Append states one delay window at a time (f must be zero).
+
+    The N steps after state n read only states n-N .. n, so a window is the
+    running log-sum of its seed x[n] and the terms log h + log g(x[k]).
+    No domain check is needed: states past t = 0 never fall below x[0],
+    and the scenario has checked every history point against g.
+    """
+    n_delay = scenario.steps_per_delay
+    log_h = math.log(scenario.h)
+    log_terms = scenario.g.log_terms
+    full, rest = divmod(scenario.planned_steps(), n_delay)
+    widths = itertools.chain(itertools.repeat(n_delay, full), [rest] if rest else [])
+    block = np.array(states)            # the last N+1 states
+    # overflow and NaN are caught by the cap test below, not by numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for width in widths:
+            window = np.empty(width + 1)
+            window[0] = block[-1]
+            np.add(log_terms(block[:width]), log_h, out=window[1:])
+            block = np.logaddexp.accumulate(window)
+            # logaddexp never decreases, so a NaN or a state over the cap
+            # anywhere in the window leaves the last state failing this test
+            if not block[-1] <= LOG_CAP:
+                bad = int(np.argmin(block <= LOG_CAP))
+                if math.isnan(block[bad]):
+                    raise SimulationError(
+                        f"state became undefined after {len(states) + bad - 1} samples")
+                states.extend(block[1:bad].tolist())
+                return True
+            states.extend(block[1:].tolist())
+    return False
 
 
 def simulate_direct(scenario: Scenario, cap: float = 1e15) -> Trajectory:

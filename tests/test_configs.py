@@ -46,8 +46,19 @@ def test_config_runs_clean(name, capsys, tmp_path):
     assert code == 0, captured.err
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_config_trajectories_match_the_golden_fingerprints(name, monkeypatch, capsys):
+# long verify runs at large N (the window kernel) and with f nonzero (the
+# per-step loop), and the fingerprint each simulates
+LONG_GOLDEN = [
+    (("g=linear(1)", "tau=1", "psi=const(1)", "N=1024", "horizon=100"),
+     "67a1cd40559240d6"),
+    (("g=power(1,0.5)", "tau=1", "psi=const(1)", "N=100", "horizon=2000"),
+     "5adb6d3bd9410097"),
+    (("f=power(1,0.5)", "g=power(1,2)", "tau=1", "psi=const(1)", "N=64", "horizon=600"),
+     "2db0de50e4c96169"),
+]
+
+
+def fingerprints_simulated(argv, monkeypatch, capsys):
     seen = []
 
     def recording(scenario):
@@ -57,8 +68,19 @@ def test_config_trajectories_match_the_golden_fingerprints(name, monkeypatch, ca
 
     monkeypatch.setattr(analysis, "simulate_euler", recording)
     monkeypatch.setattr(cli, "simulate_euler", recording)
-    assert main([str(CONFIG_DIR / name)]) == 0, capsys.readouterr().err
-    assert list(dict.fromkeys(seen)) == GOLDEN[name[:-len(".cfg")]]
+    assert main(argv) == 0, capsys.readouterr().err
+    return list(dict.fromkeys(seen))
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_config_trajectories_match_the_golden_fingerprints(name, monkeypatch, capsys):
+    seen = fingerprints_simulated([str(CONFIG_DIR / name)], monkeypatch, capsys)
+    assert seen == GOLDEN[name[:-len(".cfg")]]
+
+
+@pytest.mark.parametrize("args,fingerprint", LONG_GOLDEN)
+def test_long_runs_match_the_golden_fingerprints(args, fingerprint, monkeypatch, capsys):
+    assert fingerprints_simulated(["verify", *args], monkeypatch, capsys) == [fingerprint]
 
 
 def test_undelayed_run_matches_its_golden_fingerprint():

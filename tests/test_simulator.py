@@ -1,10 +1,14 @@
 import io
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import pytest
+from hypothesis import given, strategies as st
 
 from delaygrowth.coefficients import (
-    Constant, Linear, Power, PowerLog, Zero, LinTimesExpLogPow,
+    CoefficientSpec, Constant, ExpLogPow, Linear, Power, PowerLog, Zero,
+    LinTimesExpLogPow,
 )
 from delaygrowth.errors import DomainError
 from delaygrowth.functionals import ode_time
@@ -12,7 +16,7 @@ from delaygrowth.logdomain import LOG_CAP
 from delaygrowth.simulator import (
     ConstantHistory, RampHistory, Scenario, SimulationError, Trajectory,
     interpolate, parse_history, simulate_direct, simulate_euler,
-    simulate_undelayed, write_trajectory_csv,
+    simulate_undelayed, write_trajectory_csv, _step_singly, _step_windows,
 )
 
 
@@ -91,6 +95,101 @@ def test_direct_route_truncates_at_its_cap():
     log_route = simulate_euler(sc)
     for va, vb in zip(log_route.log_states, direct.log_states):
         assert va == pytest.approx(vb, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the window kernel (f = 0) against the per-step loop
+
+def run_with(stepper, sc):
+    states = [math.log(v) for v in sc.history_samples()]
+    truncated = stepper(sc, states)
+    return [v.hex() for v in states], truncated
+
+
+_COEF = st.floats(0.1, 5.0)
+_CATALOG = st.one_of(
+    st.builds(Constant, _COEF),
+    st.builds(Power, _COEF, st.floats(0.0, 3.0)),
+    st.builds(Linear, _COEF),
+    st.builds(LinTimesExpLogPow, _COEF, st.floats(0.1, 1.5)),
+    st.builds(ExpLogPow, _COEF, st.floats(0.5, 2.5)),
+    st.tuples(_COEF, st.floats(0.0, 3.0), st.floats(-2.0, 3.0))
+    .filter(lambda p: p[1] > 0 or p[2] >= 0).map(lambda p: PowerLog(*p)),
+)
+_LEVEL = st.floats(1.01, 1e4)
+
+
+@st.composite
+def zero_f_scenarios(draw):
+    n = draw(st.integers(1, 40))
+    tau = draw(st.sampled_from([0.5, 1.0, 3.0]))
+    history = draw(st.one_of(st.builds(ConstantHistory, _LEVEL),
+                             st.builds(RampHistory, _LEVEL, _LEVEL)))
+    steps = draw(st.integers(1, 25 * n + n - 1))     # often a partial last window
+    return Scenario(f=Zero(), g=draw(_CATALOG), tau=tau, steps_per_delay=n,
+                    history=history, horizon=steps * tau / n)
+
+
+@given(zero_f_scenarios())
+def test_window_kernel_matches_the_step_loop_bit_for_bit(sc):
+    kernel = run_with(_step_windows, sc)
+    assert kernel == run_with(_step_singly, sc)
+    traj = simulate_euler(sc)
+    assert ([v.hex() for v in traj.log_states], traj.truncated) == kernel
+    assert all(type(v) is float for v in traj.log_states)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(g=Power(1.0, 2.0), history=ConstantHistory(2.0), horizon=2000.0),
+    dict(g=Power(1.0, 2.0), steps_per_delay=7, history=RampHistory(1e300, 2.0),
+         horizon=2000.0),
+    dict(g=ExpLogPow(1.0, 2.0), steps_per_delay=8, horizon=100.0),
+    dict(g=ExpLogPow(1.0, 2.0), steps_per_delay=3, horizon=100.0),
+])
+def test_window_kernel_truncates_where_the_step_loop_does(kw):
+    sc = scenario(**kw)
+    kernel = run_with(_step_windows, sc)
+    assert kernel[1]
+    assert kernel == run_with(_step_singly, sc)
+
+
+@dataclass(frozen=True)
+class UndefinedPast(CoefficientSpec):
+    """log F(x) = log x up to ``bound``, nan beyond it."""
+
+    bound: float
+
+    def log_term(self, u: float) -> float:
+        return u if u <= self.bound else math.nan
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 9])
+def test_both_steppers_report_an_undefined_state_alike(n):
+    sc = scenario(g=UndefinedPast(2.0), steps_per_delay=n, horizon=50.0)
+    messages = []
+    for stepper in (_step_windows, _step_singly):
+        with pytest.raises(SimulationError) as err:
+            run_with(stepper, sc)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    with pytest.raises(SimulationError):
+        simulate_euler(sc)
+
+
+def test_window_memory_follows_the_steps_taken():
+    # 8e6 planned steps, cut by the cap after 119: a buffer sized to the
+    # horizon would take 64 MB
+    sc = scenario(g=ExpLogPow(1.0, 2.0), steps_per_delay=8, horizon=1e6)
+    assert sc.planned_steps() == 8_000_000
+    tracemalloc.start()
+    try:
+        traj = simulate_euler(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.truncated
+    assert len(traj.log_states) == 128
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------
