@@ -22,14 +22,13 @@ from .coefficients import (
 from .errors import DomainError, HorizonExceeded, NumericError
 from .functionals import (
     FunctionalKind, GrowthFunctional, NestedLogProduct, default_ode_lower,
-    diverges, evaluate, evaluate_many, gain_time, invert, ode_time, rescaled,
-    sublinear_time,
+    diverges, evaluate, evaluate_many, gain_time, invert, ode_time, sublinear_time,
 )
 from .logdomain import LOG_CAP, log_add, log_scale
 from .simulator import (
     ConstantHistory, History, RampHistory, Scenario, SimulationError, Trajectory,
-    interpolate, parse_history, simulate_direct, simulate_euler,
-    simulate_undelayed, write_trajectory_csv,
+    parse_history, simulate_direct, simulate_euler, simulate_undelayed,
+    write_trajectory_csv,
 )
 
 __version__ = "0.1.0"
@@ -46,9 +45,8 @@ __all__ = [
     "default_functional", "default_ode_lower", "derive_envelope_params",
     "diverges", "envelope_check", "envelope_margins", "estimate_rate",
     "evaluate", "evaluate_many", "format_prediction", "format_verification",
-    "gain_time", "interpolate", "invert", "limit_probe", "log_add", "log_scale",
-    "ode_time", "parse_coefficient", "parse_history", "predict",
-    "rescaled", "simulate_direct",
+    "gain_time", "invert", "limit_probe", "log_add", "log_scale",
+    "ode_time", "parse_coefficient", "parse_history", "predict", "simulate_direct",
     "simulate_euler", "simulate_undelayed", "solve_char_eq", "sublinear_time",
     "sweep_h", "verify_scenario", "write_trajectory_csv",
 ]

@@ -1,7 +1,9 @@
 """Rate prediction, empirical estimation, and envelope verification.
 
 The delayed term's regime fixes which observable of the trajectory has a
-known limit:
+known limit.  The regime table ``_LAWS`` is the single definition of these
+laws: observable, dominance probes on f, rate (at s = tau, and on the grid
+at s = tau + h where that is exact), functional and envelope scale.  In sum:
 
     sublinear        F(x_n)/(n h) -> 1          (ode-time functional of g)
     linear (slope C) log(x_n)/(n h) -> lambda,  lambda = C exp(-lambda tau)
@@ -21,7 +23,7 @@ import math
 import statistics
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .coefficients import (
     CoefficientSpec, DEFAULT_PROBE_SCALES, Linear, LinTimesExpLogPow, LimitKind,
@@ -93,14 +95,8 @@ class Prediction:
         """The limit on the h-grid, where one is known exactly."""
         if not (math.isfinite(h) and 0 < h <= self.tau):
             raise DomainError(f"step size must lie in (0, tau], got {h!r}")
-        kind = self.regime.kind
-        if kind is RegimeKind.SUBLINEAR_RV:
-            return 1.0
-        if kind is RegimeKind.RV1_SUPERLINEAR:
-            return 1.0 / (self.tau + h)
-        if kind is RegimeKind.POLY_SUPERLINEAR:
-            return math.log(self.regime.index) / (self.tau + h)
-        return None
+        law = _LAWS[self.regime.kind]
+        return law.rate(self.regime.index, self.tau + h) if law.grid_exact else None
 
 
 def solve_char_eq(slope: float, tau: float) -> float:
@@ -109,10 +105,10 @@ def solve_char_eq(slope: float, tau: float) -> float:
         raise DomainError(f"slope must be positive and finite, got {slope!r}")
     if not (math.isfinite(tau) and tau > 0):
         raise DomainError(f"delay must be positive and finite, got {tau!r}")
-    # bisect to the last representable digit; 200 halvings of [0, slope]
-    # exhaust double precision long before the iteration cap
+    # bisect until no double lies strictly between the bounds: about
+    # log2(slope / root) + 53 halvings, under 2,100 across the double range
     lo, hi = 0.0, slope
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return mid
@@ -123,23 +119,9 @@ def solve_char_eq(slope: float, tau: float) -> float:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
 
 
 _TRIVIAL_ZERO = LimitVerdict(LimitKind.ZERO)
-
-
-def _probe_checks(f: CoefficientSpec, g: CoefficientSpec,
-                  conditions: Sequence[tuple[str, Callable[[], LimitVerdict]]],
-                  ) -> tuple[HypothesisCheck, ...]:
-    out = []
-    for condition, run in conditions:
-        if isinstance(f, Zero):
-            out.append(HypothesisCheck(condition + " (f vanishes identically)",
-                                       _TRIVIAL_ZERO, LimitKind.ZERO))
-        else:
-            out.append(HypothesisCheck(condition, run(), LimitKind.ZERO))
-    return tuple(out)
 
 
 def _log_gain_denominator(g: CoefficientSpec) -> Callable[[float], float]:
@@ -153,6 +135,63 @@ def _log_gain_denominator(g: CoefficientSpec) -> Callable[[float], float]:
     return fn
 
 
+def _rv1_scale(g: CoefficientSpec) -> CoefficientSpec:
+    # x (log x)^a has the log-gain of x exp((log x)^a); other RV1 shapes have no scale
+    if not isinstance(g, LinTimesExpLogPow):
+        raise DomainError(f"no built-in comparison scale for the delayed term {g}; "
+                          f"an envelope cannot be derived")
+    return PowerLog(1.0, 1.0, g.exponent)
+
+
+def _rv1_notes(g: CoefficientSpec, functional: GrowthFunctional | None) -> tuple[str, ...]:
+    if functional is None:      # g vanishes at 1: delay windows cannot be counted from 1
+        return (f"the window-count functional from 1 is undefined for {g} "
+                f"(it vanishes there); only the rate itself is predicted",)
+    return (f"equivalently, log x(t) grows like ((1-a) t / tau)^(1/(1-a)) "
+            f"with a = {g.exponent!r}, up to lower order terms",)
+
+
+class _Law(NamedTuple):
+    observable: Observable
+    # (condition, g -> denominator): f over the denominator must vanish
+    probes: tuple[tuple[str, Callable[[CoefficientSpec], object]], ...]
+    rate: Callable[[float | None, float], float]      # (regime index, s)
+    grid_exact: bool
+    scale: Callable[[CoefficientSpec], CoefficientSpec]     # of the envelope
+    functional: Callable[[CoefficientSpec], GrowthFunctional | None] = lambda g: None
+    notes: Callable[..., tuple[str, ...]] = lambda g, functional: ()
+
+
+# lambdas look public functions up at call time, where a tracer can wrap them
+_OVER_X = ("f(x)/x -> 0", lambda g: Linear(1.0))
+_OVER_X_LOG_X = ("f(x)/(x log x) -> 0", lambda g: PowerLog(1.0, 1.0, 1.0))
+_LAWS = {
+    RegimeKind.SUBLINEAR_RV: _Law(
+        Observable.FUNCTIONAL_OVER_T, (("f(x)/g(x) -> 0", lambda g: g),),
+        rate=lambda index, s: 1.0, grid_exact=True,
+        scale=lambda g: g, functional=lambda g: sublinear_time(g)),
+    RegimeKind.LINEAR_RV: _Law(
+        Observable.LOG_OVER_T, (_OVER_X,),
+        rate=lambda index, s: solve_char_eq(index, s), grid_exact=False,
+        scale=lambda g: Linear(1.0)),
+    RegimeKind.RV1_SUPERLINEAR: _Law(
+        Observable.FUNCTIONAL_OVER_T,
+        (_OVER_X, ("f(x)/(x log(g(x)/x)) -> 0", _log_gain_denominator)),
+        rate=lambda index, s: 1.0 / s, grid_exact=True,
+        scale=_rv1_scale,
+        functional=lambda g: gain_time(g) if isinstance(g, LinTimesExpLogPow) else None,
+        notes=_rv1_notes),
+    RegimeKind.POLY_SUPERLINEAR: _Law(
+        Observable.LOGLOG_OVER_T, (_OVER_X, _OVER_X_LOG_X),
+        rate=lambda index, s: math.log(index) / s, grid_exact=True,
+        scale=lambda g: PowerLog(1.0, 1.0, 1.0)),
+    RegimeKind.FASTER_THAN_POLY: _Law(
+        Observable.LOGLOGLOG_OVER_T, (_OVER_X_LOG_X,),
+        rate=lambda index, s: math.log(index) / s, grid_exact=False,
+        scale=lambda g: NestedLogProduct(3)),
+}
+
+
 def predict(scenario: Scenario) -> Prediction:
     """Classify, check the dominance hypotheses, and pin the rate law.
 
@@ -161,78 +200,30 @@ def predict(scenario: Scenario) -> Prediction:
     """
     f, g, tau = scenario.f, scenario.g, scenario.tau
     regime = classify_regime(g)
-    kind = regime.kind
-    if kind is RegimeKind.UNSUPPORTED:
+    law = _LAWS.get(regime.kind)
+    if law is None:
         raise PredictionRefused(f"no rate law covers the delayed term {g}")
-
-    x_identity = Linear(1.0)
-    x_log = PowerLog(1.0, 1.0, 1.0)
-    if kind is RegimeKind.SUBLINEAR_RV:
-        conditions = [("f(x)/g(x) -> 0", lambda: limit_probe(f, g))]
-    elif kind is RegimeKind.LINEAR_RV:
-        conditions = [("f(x)/x -> 0", lambda: limit_probe(f, x_identity))]
-    elif kind is RegimeKind.RV1_SUPERLINEAR:
-        conditions = [
-            ("f(x)/x -> 0", lambda: limit_probe(f, x_identity)),
-            ("f(x)/(x log(g(x)/x)) -> 0",
-             lambda: limit_probe(f, _log_gain_denominator(g))),
-        ]
-    elif kind is RegimeKind.POLY_SUPERLINEAR:
-        conditions = [
-            ("f(x)/x -> 0", lambda: limit_probe(f, x_identity)),
-            ("f(x)/(x log x) -> 0", lambda: limit_probe(f, x_log)),
-        ]
-    else:  # faster than polynomial
-        conditions = [("f(x)/(x log x) -> 0", lambda: limit_probe(f, x_log))]
-
-    checks = _probe_checks(f, g, conditions)
+    checks = tuple(
+        HypothesisCheck(condition + " (f vanishes identically)", _TRIVIAL_ZERO, LimitKind.ZERO)
+        if isinstance(f, Zero) else
+        HypothesisCheck(condition, limit_probe(f, denominator(g)), LimitKind.ZERO)
+        for condition, denominator in law.probes)
     failed = [c for c in checks if not c.passed]
     if failed:
         detail = "; ".join(f"{c.condition} came out {c.verdict.describe()}" for c in failed)
         raise PredictionRefused(f"dominance hypothesis failed: {detail}")
 
-    notes: tuple[str, ...] = ()
     functional = default_functional(g)
-    if kind is RegimeKind.SUBLINEAR_RV:
-        observable = Observable.FUNCTIONAL_OVER_T
-        rate = 1.0
-    elif kind is RegimeKind.LINEAR_RV:
-        observable = Observable.LOG_OVER_T
-        rate = solve_char_eq(regime.index, tau)
-    elif kind is RegimeKind.RV1_SUPERLINEAR:
-        observable = Observable.FUNCTIONAL_OVER_T
-        rate = 1.0 / tau
-        if functional is not None:
-            a = g.exponent
-            notes = (
-                f"equivalently, log x(t) grows like ((1-a) t / tau)^(1/(1-a)) "
-                f"with a = {a!r}, up to lower order terms",
-            )
-        else:
-            # g vanishes at 1, so counting delay windows from 1 is not possible
-            notes = (
-                f"the window-count functional from 1 is undefined for {g} "
-                f"(it vanishes there); only the rate itself is predicted",
-            )
-    elif kind is RegimeKind.POLY_SUPERLINEAR:
-        observable = Observable.LOGLOG_OVER_T
-        rate = math.log(regime.index) / tau
-    else:
-        observable = Observable.LOGLOGLOG_OVER_T
-        rate = math.log(regime.index) / tau
-
-    return Prediction(regime=regime, observable=observable, continuous_rate=rate,
-                      tau=tau, functional=functional, checks=checks, notes=notes)
+    return Prediction(regime=regime, observable=law.observable,
+                      continuous_rate=law.rate(regime.index, tau), tau=tau,
+                      functional=functional, checks=checks,
+                      notes=law.notes(g, functional))
 
 
 def default_functional(g: CoefficientSpec) -> GrowthFunctional | None:
     """The functional the regime of g reports on, when one is defined."""
-    kind = classify_regime(g).kind
-    if kind is RegimeKind.SUBLINEAR_RV:
-        return sublinear_time(g)
-    if kind is RegimeKind.RV1_SUPERLINEAR and isinstance(g, LinTimesExpLogPow):
-        return gain_time(g)
-    return None
+    law = _LAWS.get(classify_regime(g).kind)
+    return None if law is None else law.functional(g)
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +409,6 @@ class EnvelopeParams:
     g_scale: float       # x2: from here on, g respects the delayed advance bound
 
 
-def _envelope_shape(prediction: Prediction, g: CoefficientSpec) -> CoefficientSpec:
-    kind = prediction.regime.kind
-    if kind is RegimeKind.SUBLINEAR_RV:
-        return g
-    if kind is RegimeKind.LINEAR_RV:
-        return Linear(1.0)
-    if kind is RegimeKind.RV1_SUPERLINEAR:
-        if isinstance(g, LinTimesExpLogPow):
-            return PowerLog(1.0, 1.0, g.exponent)
-        raise DomainError(
-            f"no built-in comparison scale for the delayed term {g}; "
-            f"an envelope cannot be derived")
-    if kind is RegimeKind.POLY_SUPERLINEAR:
-        return PowerLog(1.0, 1.0, 1.0)
-    return NestedLogProduct(3)
-
-
 def derive_envelope_params(scenario: Scenario, eps: float) -> EnvelopeParams:
     """Constants making F(x(t)) < (1+eps) t + offset provable termwise.
 
@@ -447,7 +421,7 @@ def derive_envelope_params(scenario: Scenario, eps: float) -> EnvelopeParams:
         raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
     prediction = predict(scenario)
     f, g, tau = scenario.f, scenario.g, scenario.tau
-    shape = _envelope_shape(prediction, g)
+    shape = _LAWS[prediction.regime.kind].scale(g)
     history_min = scenario.history_min()
     if shape.monotone_from > history_min or f.monotone_from > history_min:
         raise DomainError(

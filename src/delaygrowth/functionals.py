@@ -28,7 +28,7 @@ integrand, which is smooth and bounded away from the blow-up scales.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -39,7 +39,7 @@ from .errors import DomainError, HorizonExceeded, NumericError
 
 __all__ = [
     "FunctionalKind", "GrowthFunctional", "NestedLogProduct",
-    "ode_time", "sublinear_time", "gain_time", "rescaled", "default_ode_lower",
+    "ode_time", "sublinear_time", "gain_time", "default_ode_lower",
     "evaluate", "evaluate_many", "invert", "diverges",
     "QUAD_ABS_TOL", "QUAD_REL_TOL", "QUAD_MAX_DEPTH",
 ]
@@ -184,10 +184,6 @@ def sublinear_time(g: CoefficientSpec) -> GrowthFunctional:
 
 def gain_time(g: CoefficientSpec) -> GrowthFunctional:
     return GrowthFunctional(FunctionalKind.GAIN_TIME, g, 1.0)
-
-
-def rescaled(functional: GrowthFunctional, scale: float) -> GrowthFunctional:
-    return replace(functional, scale=scale)
 
 
 def default_ode_lower(phi: CoefficientSpec, history_floor: float) -> float:

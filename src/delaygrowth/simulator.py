@@ -34,6 +34,7 @@ import hashlib
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import IO
 
@@ -52,7 +53,7 @@ WINDOW_MIN_STEPS = 4
 __all__ = [
     "History", "ConstantHistory", "RampHistory", "parse_history",
     "Scenario", "Trajectory", "SimulationError",
-    "simulate_euler", "simulate_direct", "interpolate",
+    "simulate_euler", "simulate_direct",
     "UndelayedRun", "simulate_undelayed", "write_trajectory_csv",
 ]
 
@@ -147,6 +148,11 @@ class Scenario:
                 or self.steps_per_delay < 1:
             raise DomainError(
                 f"steps per delay must be a positive integer, got {self.steps_per_delay!r}")
+        steps = self.horizon / self.h
+        if not steps <= sys.maxsize:
+            raise DomainError(
+                f"horizon {self.horizon!r} takes {steps!r} steps of h = {self.h!r}; "
+                f"a run counts at most {sys.maxsize}")
         if isinstance(self.g, Zero):
             raise DomainError(
                 "the delayed term must be strictly positive; zero() is not")
@@ -311,22 +317,6 @@ def simulate_direct(scenario: Scenario, cap: float = 1e15) -> Trajectory:
     return Trajectory(scenario=scenario,
                       log_states=tuple(math.log(v) for v in xs),
                       truncated=truncated)
-
-
-def interpolate(trajectory: Trajectory, t: float) -> float:
-    """log x at an off-grid time, linear in the log between neighbors."""
-    h = trajectory.h
-    position = t / h
-    lo = math.floor(position)
-    if lo < trajectory.n_start or lo > trajectory.n_end:
-        raise DomainError(f"time {t!r} outside the simulated range")
-    if lo == trajectory.n_end:
-        if position > trajectory.n_end:
-            raise DomainError(f"time {t!r} outside the simulated range")
-        return trajectory.state(trajectory.n_end)
-    frac = position - lo
-    a, b = trajectory.state(lo), trajectory.state(lo + 1)
-    return a * (1.0 - frac) + b * frac
 
 
 _UNDELAYED_KINDS = (RegimeKind.RV1_SUPERLINEAR, RegimeKind.POLY_SUPERLINEAR,

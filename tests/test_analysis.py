@@ -10,6 +10,7 @@ from delaygrowth.analysis import (
 )
 from delaygrowth.coefficients import (
     Constant, ExpLogPow, Linear, LinTimesExpLogPow, Power, PowerLog, Zero,
+    parse_coefficient,
 )
 from delaygrowth.errors import DomainError
 from delaygrowth.functionals import evaluate as evaluate_fn
@@ -44,7 +45,8 @@ def test_characteristic_root_unit_case():
 
 
 def test_characteristic_root_satisfies_its_equation():
-    for slope, tau in [(0.5, 1.0), (2.0, 1.0), (1.0, 3.0), (10.0, 0.2)]:
+    for slope, tau in [(0.5, 1.0), (2.0, 1.0), (1.0, 3.0), (10.0, 0.2),
+                       (1e100, 1.0), (1e308, 1.0)]:
         lam = solve_char_eq(slope, tau)
         assert lam == pytest.approx(slope * math.exp(-lam * tau), abs=1e-10)
         assert 0.0 < lam <= slope
@@ -174,6 +176,202 @@ def test_discrete_rate_approaches_the_continuous_rate():
         pred = predict(sc)
         assert pred.discrete_rate(1e-9) == pytest.approx(pred.continuous_rate,
                                                          rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# golden prediction text: every regime with f zero and nonzero, the RV1
+# shapes without a window-count functional, and the refusals.  A changed
+# rate law, probe condition, note or message shows up here, which the
+# config corpus alone would not catch (it never runs ``predict`` and has no
+# faster-than-polynomial prediction).
+
+PREDICTION_TEXT = [
+    (("zero", "power(1,0.5)", 1.0, 4), [
+        "regime: sublinear-rv (index 0.5)",
+        "  check f(x)/g(x) -> 0 (f vanishes identically): zero [ok]",
+        "observable: functional-over-t",
+        "continuous rate: 1.0",
+        "grid rate at h=0.25: 1.0",
+        "functional: ode-time[power(1.0,0.5), lower=1]",
+    ]),
+    (("power(1,0.25)", "power(1,0.5)", 1.0, 4), [
+        "regime: sublinear-rv (index 0.5)",
+        "  check f(x)/g(x) -> 0: zero [ok]",
+        "observable: functional-over-t",
+        "continuous rate: 1.0",
+        "grid rate at h=0.25: 1.0",
+        "functional: ode-time[power(1.0,0.5), lower=1]",
+    ]),
+    (("zero", "const(2)", 1.0, 4), [
+        "regime: sublinear-rv (index 0.0)",
+        "  check f(x)/g(x) -> 0 (f vanishes identically): zero [ok]",
+        "observable: functional-over-t",
+        "continuous rate: 1.0",
+        "grid rate at h=0.25: 1.0",
+        "functional: ode-time[const(2.0), lower=1]",
+    ]),
+    (("zero", "linear(1)", 1.0, 16), [
+        "regime: linear-rv (index 1.0)",
+        "  check f(x)/x -> 0 (f vanishes identically): zero [ok]",
+        "observable: log-over-t",
+        "continuous rate: 0.5671432904097838",
+        "grid rate at h=0.0625: no exact value in this regime",
+    ]),
+    (("power(1,0.5)", "linear(2)", 2.0, 8), [
+        "regime: linear-rv (index 2.0)",
+        "  check f(x)/x -> 0: zero [ok]",
+        "observable: log-over-t",
+        "continuous rate: 0.6010839365985214",
+        "grid rate at h=0.25: no exact value in this regime",
+    ]),
+    (("zero", "xexplogpow(1,0.5)", 1.0, 4), [
+        "regime: rv1-superlinear",
+        "  check f(x)/x -> 0 (f vanishes identically): zero [ok]",
+        "  check f(x)/(x log(g(x)/x)) -> 0 (f vanishes identically): zero [ok]",
+        "observable: functional-over-t",
+        "continuous rate: 1.0",
+        "grid rate at h=0.25: 0.8",
+        "functional: gain-time[xexplogpow(1.0,0.5), lower=1]",
+        "note: equivalently, log x(t) grows like ((1-a) t / tau)^(1/(1-a)) with a = "
+        "0.5, up to lower order terms",
+    ]),
+    (("power(1,0.5)", "xexplogpow(1,0.5)", 1.0, 4), [
+        "regime: rv1-superlinear",
+        "  check f(x)/x -> 0: zero [ok]",
+        "  check f(x)/(x log(g(x)/x)) -> 0: zero [ok]",
+        "observable: functional-over-t",
+        "continuous rate: 1.0",
+        "grid rate at h=0.25: 0.8",
+        "functional: gain-time[xexplogpow(1.0,0.5), lower=1]",
+        "note: equivalently, log x(t) grows like ((1-a) t / tau)^(1/(1-a)) with a = "
+        "0.5, up to lower order terms",
+    ]),
+    (("zero", "powerlog(1,1,2)", 1.0, 4), [
+        "regime: rv1-superlinear",
+        "  check f(x)/x -> 0 (f vanishes identically): zero [ok]",
+        "  check f(x)/(x log(g(x)/x)) -> 0 (f vanishes identically): zero [ok]",
+        "observable: functional-over-t",
+        "continuous rate: 1.0",
+        "grid rate at h=0.25: 0.8",
+        "note: the window-count functional from 1 is undefined for "
+        "powerlog(1.0,1.0,2.0) (it vanishes there); only the rate itself is predicted",
+    ]),
+    (("power(1,0.5)", "powerlog(1,1,0.5)", 2.0, 4), [
+        "regime: rv1-superlinear",
+        "  check f(x)/x -> 0: zero [ok]",
+        "  check f(x)/(x log(g(x)/x)) -> 0: zero [ok]",
+        "observable: functional-over-t",
+        "continuous rate: 0.5",
+        "grid rate at h=0.5: 0.4",
+        "note: the window-count functional from 1 is undefined for "
+        "powerlog(1.0,1.0,0.5) (it vanishes there); only the rate itself is predicted",
+    ]),
+    (("zero", "power(1,2)", 1.0, 4), [
+        "regime: poly-superlinear (index 2.0)",
+        "  check f(x)/x -> 0 (f vanishes identically): zero [ok]",
+        "  check f(x)/(x log x) -> 0 (f vanishes identically): zero [ok]",
+        "observable: loglog-over-t",
+        "continuous rate: 0.6931471805599453",
+        "grid rate at h=0.25: 0.5545177444479562",
+    ]),
+    (("power(1,0.5)", "power(1,2)", 1.0, 4), [
+        "regime: poly-superlinear (index 2.0)",
+        "  check f(x)/x -> 0: zero [ok]",
+        "  check f(x)/(x log x) -> 0: zero [ok]",
+        "observable: loglog-over-t",
+        "continuous rate: 0.6931471805599453",
+        "grid rate at h=0.25: 0.5545177444479562",
+    ]),
+    (("zero", "powerlog(1,3,1)", 2.0, 4), [
+        "regime: poly-superlinear (index 3.0)",
+        "  check f(x)/x -> 0 (f vanishes identically): zero [ok]",
+        "  check f(x)/(x log x) -> 0 (f vanishes identically): zero [ok]",
+        "observable: loglog-over-t",
+        "continuous rate: 0.5493061443340549",
+        "grid rate at h=0.5: 0.4394449154672439",
+    ]),
+    (("zero", "explogpow(1,2)", 1.0, 8), [
+        "regime: faster-than-poly (index 2.0)",
+        "  check f(x)/(x log x) -> 0 (f vanishes identically): zero [ok]",
+        "observable: logloglog-over-t",
+        "continuous rate: 0.6931471805599453",
+        "grid rate at h=0.125: no exact value in this regime",
+    ]),
+    (("power(1,0.5)", "explogpow(1,2)", 1.0, 8), [
+        "regime: faster-than-poly (index 2.0)",
+        "  check f(x)/(x log x) -> 0: zero [ok]",
+        "observable: logloglog-over-t",
+        "continuous rate: 0.6931471805599453",
+        "grid rate at h=0.125: no exact value in this regime",
+    ]),
+    (("linear(1)", "explogpow(1,1.5)", 0.5, 2), [
+        "regime: faster-than-poly (index 1.5)",
+        "  check f(x)/(x log x) -> 0: zero [ok]",
+        "observable: logloglog-over-t",
+        "continuous rate: 0.8109302162163288",
+        "grid rate at h=0.25: no exact value in this regime",
+    ]),
+    (("zero", "explogpow(1,0.5)", 1.0, 4), [
+        "refused: no rate law covers the delayed term explogpow(1.0,0.5)",
+    ]),
+    (("linear(1)", "power(1,0.5)", 1.0, 4), [
+        "refused: dominance hypothesis failed: f(x)/g(x) -> 0 came out infinite",
+    ]),
+    (("linear(1)", "power(1,2)", 1.0, 4), [
+        "refused: dominance hypothesis failed: f(x)/x -> 0 came out finite (1.0)",
+    ]),
+    (("powerlog(1,1,2)", "power(1,2)", 1.0, 4), [
+        "refused: dominance hypothesis failed: f(x)/x -> 0 came out infinite; "
+        "f(x)/(x log x) -> 0 came out infinite",
+    ]),
+    (("linear(1)", "xexplogpow(1,0.5)", 1.0, 4), [
+        "refused: dominance hypothesis failed: f(x)/x -> 0 came out finite (1.0); "
+        "f(x)/(x log(g(x)/x)) -> 0 came out inconclusive",
+    ]),
+    (("linear(1)", "linear(1)", 1.0, 4), [
+        "refused: dominance hypothesis failed: f(x)/x -> 0 came out finite (1.0)",
+    ]),
+]
+
+
+def golden_scenario(f, g, tau, steps_per_delay):
+    return Scenario(f=parse_coefficient(f), g=parse_coefficient(g), tau=tau,
+                    steps_per_delay=steps_per_delay, history=ConstantHistory(2.0),
+                    horizon=10.0)
+
+
+@pytest.mark.parametrize("case,lines", PREDICTION_TEXT,
+                         ids=[f"{f}-{g}-tau{tau:g}-N{n}" for (f, g, tau, n), _ in PREDICTION_TEXT])
+def test_prediction_text_matches_the_golden_record(case, lines):
+    sc = golden_scenario(*case)
+    try:
+        text = format_prediction(predict(sc), sc.h)
+    except PredictionRefused as exc:
+        text = f"refused: {exc}"
+    assert text == "\n".join(lines)
+
+
+# the envelope's comparison functional per regime, and where it starts
+ENVELOPE_GOLDEN = [
+    ("power(1,0.5)", "ode-time[power(1.0,0.5), lower=2.71828]",
+     "0x1.270ad78819b1ep+8", "0x1.4000be6a00000p+3"),
+    ("linear(1)", "ode-time[linear(1.0), lower=2.71828, scale=0.567143]",
+     "0x1.15e81a30c9ee3p+4", "0x1.4000be6800000p+3"),
+    ("xexplogpow(1,0.5)", "ode-time[powerlog(1.0,1.0,0.5), lower=2.71828]",
+     "0x1.74c5fc1afee09p+2", "0x1.4000be7000000p+3"),
+    ("power(1,2)", "ode-time[powerlog(1.0,1.0,1.0), lower=2.71828, scale=0.693147]",
+     "0x1.349aaf3cbddcep+2", "0x1.4000be6000000p+3"),
+    ("explogpow(1,2)", "ode-time[nestedlog(3), lower=2.71828, scale=0.693147]",
+     "0x1.250c109f7c9ecp+2", "0x1.4000be8000000p+3"),
+]
+
+
+@pytest.mark.parametrize("g,functional,offset,floor_log", ENVELOPE_GOLDEN)
+def test_envelope_comparison_scale_per_regime(g, functional, offset, floor_log):
+    params = derive_envelope_params(golden_scenario("zero", g, 1.0, 4), 0.5)
+    assert params.functional.describe() == functional
+    assert (params.offset.hex(), params.floor_log.hex()) == (offset, floor_log)
+    assert (params.f_scale, params.g_scale) == (0.0, math.exp(10.0))
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +553,10 @@ def test_envelope_margins_report_overflowing_levels_as_inf():
 
 def test_envelope_refused_without_a_comparison_scale():
     sc = scenario(g=PowerLog(1.0, 1.0, 2.0), history=ConstantHistory(2.0))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         derive_envelope_params(sc, 0.5)
+    assert str(err.value) == ("no built-in comparison scale for the delayed term "
+                              "powerlog(1.0,1.0,2.0); an envelope cannot be derived")
 
 
 def test_envelope_eps_must_sit_in_the_unit_interval():

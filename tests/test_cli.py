@@ -206,6 +206,16 @@ def test_non_ascii_config_exits_2(tmp_path, capsys):
     assert f"error: cannot read {path}: not ASCII text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tau", ["1e-300", "1e-320"])
+def test_a_step_count_beyond_the_index_range_exits_2(tau, capsys):
+    # 4e300 steps, and inf steps once h is subnormal; exit 1 would read as a
+    # failed verification
+    code = main(["verify", "g=power(1,0.5)", f"tau={tau}", "psi=const(1)",
+                 "N=4", "horizon=1"])
+    assert code == 2
+    assert "a run counts at most" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
 def test_sweep_rejects_a_negative_or_non_finite_tolerance(tol, capsys):
     code = main(["sweep", "g=const(2)", "tau=1", "psi=const(1)",

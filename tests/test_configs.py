@@ -1,5 +1,7 @@
 """Every checked-in config runs clean through the command line."""
 
+import hashlib
+import json
 import pathlib
 
 import pytest
@@ -9,8 +11,15 @@ from delaygrowth.cli import main
 from delaygrowth.coefficients import Power
 from delaygrowth.simulator import simulate_euler, simulate_undelayed
 
-CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 CONFIGS = sorted(p.name for p in CONFIG_DIR.glob("*.cfg"))
+
+# the benchmark's reference runs, keyed by their argv (paths relative to ROOT)
+REFERENCE_STDOUT = {
+    tuple(run["argv"]): run["stdout_sha256"]
+    for run in json.loads((ROOT / "bench" / "reference" / "reference.json")
+                          .read_text())["runs"].values()}
 
 # distinct trajectory fingerprints each config simulates, in run order; a
 # changed Euler bit anywhere in the corpus shows up here
@@ -59,6 +68,7 @@ LONG_GOLDEN = [
 
 
 def fingerprints_simulated(argv, monkeypatch, capsys):
+    """The distinct fingerprints the run simulates, and the SHA-256 of its stdout."""
     seen = []
 
     def recording(scenario):
@@ -68,19 +78,24 @@ def fingerprints_simulated(argv, monkeypatch, capsys):
 
     monkeypatch.setattr(analysis, "simulate_euler", recording)
     monkeypatch.setattr(cli, "simulate_euler", recording)
-    assert main(argv) == 0, capsys.readouterr().err
-    return list(dict.fromkeys(seen))
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    return list(dict.fromkeys(seen)), hashlib.sha256(captured.out.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_config_trajectories_match_the_golden_fingerprints(name, monkeypatch, capsys):
-    seen = fingerprints_simulated([str(CONFIG_DIR / name)], monkeypatch, capsys)
+    seen, stdout = fingerprints_simulated([str(CONFIG_DIR / name)], monkeypatch, capsys)
     assert seen == GOLDEN[name[:-len(".cfg")]]
+    assert stdout == REFERENCE_STDOUT[(f"configs/{name}",)]
 
 
 @pytest.mark.parametrize("args,fingerprint", LONG_GOLDEN)
 def test_long_runs_match_the_golden_fingerprints(args, fingerprint, monkeypatch, capsys):
-    assert fingerprints_simulated(["verify", *args], monkeypatch, capsys) == [fingerprint]
+    seen, stdout = fingerprints_simulated(["verify", *args], monkeypatch, capsys)
+    assert seen == [fingerprint]
+    assert stdout == REFERENCE_STDOUT[("verify", *args)]
 
 
 def test_undelayed_run_matches_its_golden_fingerprint():

