@@ -27,8 +27,7 @@ from .functionals import (
 from .logdomain import LOG_CAP, log_add, log_scale
 from .simulator import (
     ConstantHistory, History, RampHistory, Scenario, SimulationError, Trajectory,
-    parse_history, simulate_direct, simulate_euler, simulate_undelayed,
-    write_trajectory_csv,
+    parse_history, simulate_euler, simulate_undelayed, write_trajectory_csv,
 )
 
 __version__ = "0.1.0"
@@ -46,7 +45,7 @@ __all__ = [
     "diverges", "envelope_check", "envelope_margins", "estimate_rate",
     "evaluate", "evaluate_many", "format_prediction", "format_verification",
     "gain_time", "invert", "limit_probe", "log_add", "log_scale",
-    "ode_time", "parse_coefficient", "parse_history", "predict", "simulate_direct",
+    "ode_time", "parse_coefficient", "parse_history", "predict",
     "simulate_euler", "simulate_undelayed", "solve_char_eq", "sublinear_time",
     "sweep_h", "verify_scenario", "write_trajectory_csv",
 ]

@@ -515,18 +515,14 @@ def envelope_check(scenario: Scenario, eps: float) -> EnvelopeCheckResult:
     trajectory = simulate_euler(scenario)
     functional = params.functional
     slope = 1.0 + params.eps
-    violations = []
-    checked = 0
-    for n in trajectory.indices():
-        checked += 1
-        state = trajectory.state(n)
-        if state < functional.log_lower:
-            continue
-        bound = slope * trajectory.time(n) + params.offset
-        if not evaluate(functional, state) < bound:
-            violations.append(n)
-    return EnvelopeCheckResult(params=params, checked=checked,
-                               violations=tuple(violations), trajectory=trajectory)
+    la = functional.log_lower
+    above = [(n, state) for n, state in zip(trajectory.indices(), trajectory.log_states)
+             if state >= la]
+    values = evaluate_many(functional, [state for _, state in above])
+    violations = tuple(n for (n, _), value in zip(above, values)
+                       if not value < slope * trajectory.time(n) + params.offset)
+    return EnvelopeCheckResult(params=params, checked=len(trajectory.log_states),
+                               violations=violations, trajectory=trajectory)
 
 
 def envelope_margins(trajectory: Trajectory, params: EnvelopeParams,

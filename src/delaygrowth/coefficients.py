@@ -16,11 +16,12 @@ Each shape owns its mathematics: ``regime()`` names the growth regime that
 fixes which rate law applies, ``reciprocal_diverges()`` and
 ``gain_diverges()`` say whether the ode-time and gain-time functionals of
 the shape grow without bound, and ``closed_ode``/``closed_gain`` integrate
-them in closed form where an antiderivative is known.  ``classify_regime``
-is the function form of ``regime()``, and ``limit_probe`` renders an
-empirical verdict on a limit of a ratio of two shapes along a ladder of
-log-scales; predictions use it to check their dominance hypotheses before
-committing to a rate.
+them in closed form where an antiderivative is known: given the lower
+limit they do the lower-limit work once and return the integral as a
+function of the upper limit.  ``classify_regime`` is the function form of
+``regime()``, and ``limit_probe`` renders an empirical verdict on a limit
+of a ratio of two shapes along a ladder of log-scales; predictions use it
+to check their dominance hypotheses before committing to a rate.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DomainError
 
@@ -108,18 +108,22 @@ _UNSUPPORTED = Regime(RegimeKind.UNSUPPORTED)
 # ---------------------------------------------------------------------------
 # closed forms
 #
-# Everything is expressed in u = log x.  ``closed_ode`` and ``closed_gain``
-# return the unscaled integral of the matching functional over [la, u], or
-# None when only quadrature will do.
+# Everything is expressed in u = log x.  ``closed_ode(la)`` and
+# ``closed_gain(la)`` return the unscaled integral of the matching
+# functional over [la, u] as a function of u, or None when only quadrature
+# will do.  The lower term is computed once, when the function is built.
 
 _SQRT_PI_HALF = 0.5 * math.sqrt(math.pi)
 
+ClosedForm = Callable[[float], float]
 
-def _closed_power(c: float, beta: float, la: float, u: float) -> float:
+
+def _closed_power(c: float, beta: float, la: float) -> ClosedForm:
     if beta == 1.0:
-        return (u - la) / c
+        return lambda u: (u - la) / c
     k = 1.0 - beta
-    return (_exp(k * u) - _exp(k * la)) / (c * k)
+    lo, ck = _exp(k * la), c * k
+    return lambda u: (_exp(k * u) - lo) / ck
 
 
 @dataclass(frozen=True)
@@ -192,12 +196,12 @@ class CoefficientSpec:
         """Whether the gain-time functional of this shape grows without bound."""
         raise DomainError(f"no divergence rule for {self!r}")
 
-    def closed_ode(self, la: float, u: float) -> float | None:
-        """Integral of e^w / F(e^w) over [la, u], or None without a closed form."""
+    def closed_ode(self, la: float) -> ClosedForm | None:
+        """u -> integral of e^w / F(e^w) over [la, u], or None without a closed form."""
         return None
 
-    def closed_gain(self, la: float, u: float) -> float | None:
-        """Integral of 1 / log1p(F(e^w) / e^w) over [la, u], or None."""
+    def closed_gain(self, la: float) -> ClosedForm | None:
+        """u -> integral of 1 / log1p(F(e^w) / e^w) over [la, u], or None."""
         return None
 
 
@@ -250,8 +254,9 @@ class Constant(CoefficientSpec):
     def gain_diverges(self) -> bool:
         return True
 
-    def closed_ode(self, la: float, u: float) -> float:
-        return (_exp(u) - _exp(la)) / self.level
+    def closed_ode(self, la: float) -> ClosedForm:
+        lo, level = _exp(la), self.level
+        return lambda u: (_exp(u) - lo) / level
 
     def __str__(self) -> str:
         return f"const({self.level!r})"
@@ -295,12 +300,13 @@ class Power(CoefficientSpec):
     def gain_diverges(self) -> bool:
         return True
 
-    def closed_ode(self, la: float, u: float) -> float:
-        return _closed_power(self.coefficient, self.exponent, la, u)
+    def closed_ode(self, la: float) -> ClosedForm:
+        return _closed_power(self.coefficient, self.exponent, la)
 
-    def closed_gain(self, la: float, u: float) -> float | None:
+    def closed_gain(self, la: float) -> ClosedForm | None:
         if self.exponent == 1.0:
-            return (u - la) / math.log1p(self.coefficient)
+            rate = math.log1p(self.coefficient)
+            return lambda u: (u - la) / rate
         return None
 
     def __str__(self) -> str:
@@ -334,11 +340,13 @@ class Linear(CoefficientSpec):
     def gain_diverges(self) -> bool:
         return True
 
-    def closed_ode(self, la: float, u: float) -> float:
-        return (u - la) / self.slope
+    def closed_ode(self, la: float) -> ClosedForm:
+        slope = self.slope
+        return lambda u: (u - la) / slope
 
-    def closed_gain(self, la: float, u: float) -> float:
-        return (u - la) / math.log1p(self.slope)
+    def closed_gain(self, la: float) -> ClosedForm:
+        rate = math.log1p(self.slope)
+        return lambda u: (u - la) / rate
 
     def __str__(self) -> str:
         return f"linear({self.slope!r})"
@@ -387,12 +395,17 @@ class LinTimesExpLogPow(CoefficientSpec):
     def gain_diverges(self) -> bool:
         return self.exponent <= 1.0
 
-    def closed_ode(self, la: float, u: float) -> float:
-        # integrand e^{-w^alpha}/c; substitute s = w^alpha
-        a = 1.0 / self.exponent
-        lo = float(gammainc(a, _pow(la, self.exponent)))
-        hi = float(gammainc(a, _pow(u, self.exponent)))
-        return math.gamma(a) * a * (hi - lo) / self.coefficient
+    def closed_ode(self, la: float) -> ClosedForm:
+        # integrand e^{-w^alpha}/c; substitute s = w^alpha.  scipy is
+        # imported here, not at module level: it costs most of the package's
+        # import time and only this closed form needs it
+        from scipy.special import gammainc
+
+        alpha, c = self.exponent, self.coefficient
+        a = 1.0 / alpha
+        lo = float(gammainc(a, _pow(la, alpha)))
+        front = math.gamma(a) * a
+        return lambda u: front * (float(gammainc(a, _pow(u, alpha))) - lo) / c
 
     def __str__(self) -> str:
         return f"xexplogpow({self.coefficient!r},{self.exponent!r})"
@@ -439,11 +452,12 @@ class ExpLogPow(CoefficientSpec):
     def gain_diverges(self) -> bool:
         return self.exponent <= 1.0
 
-    def closed_ode(self, la: float, u: float) -> float | None:
+    def closed_ode(self, la: float) -> ClosedForm | None:
         if self.exponent == 2.0:
             # integrand e^{w - w^2}/c; complete the square
             front = math.exp(0.25) * _SQRT_PI_HALF / self.coefficient
-            return front * (math.erf(u - 0.5) - math.erf(la - 0.5))
+            lo = math.erf(la - 0.5)
+            return lambda u: front * (math.erf(u - 0.5) - lo)
         return None
 
     def __str__(self) -> str:
@@ -506,16 +520,19 @@ class PowerLog(CoefficientSpec):
     def gain_diverges(self) -> bool:
         return True
 
-    def closed_ode(self, la: float, u: float) -> float | None:
+    def closed_ode(self, la: float) -> ClosedForm | None:
+        c = self.coefficient
         if self.log_power == 0.0:
-            return _closed_power(self.coefficient, self.power, la, u)
+            return _closed_power(c, self.power, la)
         if self.power == 1.0:
             # integrand (in w) is w^{-gamma}/c; lower > 1 keeps la positive
             g = self.log_power
             if g == 1.0:
-                return (math.log(u) - math.log(la)) / self.coefficient
+                lo = math.log(la)
+                return lambda u: (math.log(u) - lo) / c
             k = 1.0 - g
-            return (_pow(u, k) - _pow(la, k)) / (self.coefficient * k)
+            lo, ck = _pow(la, k), c * k
+            return lambda u: (_pow(u, k) - lo) / ck
         return None
 
     def __str__(self) -> str:

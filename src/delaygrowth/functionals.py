@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import CoefficientSpec, Zero, _exp
+from .coefficients import ClosedForm, CoefficientSpec, Zero, _exp
 from .errors import DomainError, HorizonExceeded, NumericError
 
 __all__ = [
@@ -100,8 +100,9 @@ class NestedLogProduct(CoefficientSpec):
         # no faster than 1/log w and its integral over w diverges
         return True
 
-    def closed_ode(self, la: float, u: float) -> float:
-        return self.antiderivative_log_arg(u) - self.antiderivative_log_arg(la)
+    def closed_ode(self, la: float) -> ClosedForm:
+        lo, top = self.antiderivative_log_arg(la), self.antiderivative_log_arg
+        return lambda u: top(u) - lo
 
     def value(self, x: float) -> float:
         if x <= self.domain_threshold:
@@ -191,12 +192,12 @@ def default_ode_lower(phi: CoefficientSpec, history_floor: float) -> float:
     return max(history_floor, phi.domain_threshold, math.e)
 
 
-def _closed(functional: GrowthFunctional, log_x: float) -> float | None:
-    """The shape's closed form of the unscaled functional at log x, or None."""
+def _closed(functional: GrowthFunctional) -> ClosedForm | None:
+    """The shape's closed form of the unscaled functional in log x, or None."""
     coeff, la = functional.coeff, functional.log_lower
     if functional.kind is FunctionalKind.ODE_TIME:
-        return coeff.closed_ode(la, log_x)
-    return coeff.closed_gain(la, log_x)
+        return coeff.closed_ode(la)
+    return coeff.closed_gain(la)
 
 
 # ---------------------------------------------------------------------------
@@ -260,57 +261,115 @@ def _adaptive(fn: Callable[[float], float], lo: float, hi: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# public evaluation API; arguments are log x throughout
+# evaluation; arguments are log x throughout
 
-def evaluate(functional: GrowthFunctional, log_x: float) -> float:
-    """F(x)/scale at log x; log x must not fall below the lower reference."""
+def _check_argument(la: float, log_x: float) -> None:
     if math.isnan(log_x) or math.isinf(log_x):
         raise DomainError(f"functional argument must be finite, got {log_x!r}")
-    la = functional.log_lower
     if log_x < la:
         raise DomainError(
             f"argument log x = {log_x!r} lies below the lower reference (log {la:g})")
-    if log_x == la:
-        return 0.0
-    closed = _closed(functional, log_x)
+
+
+def _evaluator(functional: GrowthFunctional,
+               closed: ClosedForm | None) -> Callable[[float], float]:
+    """F(x)/scale as a function of log x, for arguments already checked.
+
+    ``closed`` is ``_closed(functional)``.  The lower-limit work (log of the
+    lower reference, the closed form's lower term, the integrand) is done
+    once here, so loops over many arguments pay only for the upper limit.
+    """
+    la, scale = functional.log_lower, functional.scale
     if closed is None:
-        closed = _adaptive(_integrand(functional), la, log_x)
-    return closed / functional.scale
+        fn = _integrand(functional)
+        return lambda log_x: _adaptive(fn, la, log_x) / scale
+    return lambda log_x: 0.0 if log_x == la else closed(log_x) / scale
+
+
+def evaluate(functional: GrowthFunctional, log_x: float) -> float:
+    """F(x)/scale at log x; log x must not fall below the lower reference."""
+    _check_argument(functional.log_lower, log_x)
+    return _evaluator(functional, _closed(functional))(log_x)
 
 
 def evaluate_many(functional: GrowthFunctional, log_xs: Sequence[float]) -> list[float]:
-    """Evaluate at many points.
+    """Evaluate at many points, checking them and doing the lower-limit work once.
 
-    Sorted quadrature arguments are handled incrementally, one panel run
+    The values are those of ``evaluate``, bit for bit, except for sorted
+    quadrature arguments: those are handled incrementally, one panel run
     per gap, so a whole trajectory costs what its largest argument costs.
     """
     points = [float(v) for v in log_xs]
     if not points:
         return []
+    la = functional.log_lower
+    for v in points:
+        _check_argument(la, v)
+    closed = _closed(functional)
+    value_at = _evaluator(functional, closed)
     ascending = all(b >= a for a, b in zip(points, points[1:]))
-    # a closed form at the lower reference means one everywhere
-    if not ascending or _closed(functional, functional.log_lower) is not None:
-        return [evaluate(functional, v) for v in points]
-    fn = _integrand(functional)
-    out = [evaluate(functional, points[0])]
+    if closed is not None or not ascending:
+        return [value_at(v) for v in points]
+    fn, scale = _integrand(functional), functional.scale
+    out = [value_at(points[0])]
     for prev, cur in zip(points, points[1:]):
         if cur == prev:
             out.append(out[-1])
         else:
-            out.append(out[-1] + _adaptive(fn, prev, cur) / functional.scale)
+            out.append(out[-1] + _adaptive(fn, prev, cur) / scale)
     return out
 
 
 INVERT_MAX_ITERS = 500
 INVERT_LOG_RANGE = 1e300
+# la + 2**_TOP_DOUBLING passes INVERT_LOG_RANGE for every lower reference
+# (|la| < 746 for a positive double), so no bracket is longer
+_TOP_DOUBLING = 1 + int(math.log2(INVERT_LOG_RANGE))
+
+
+def _bracket_exponent(value_at: Callable[[float], float], la: float, y: float,
+                      gallop: bool) -> int:
+    """The least j >= 0 with la + 2^j past the log range or F(la + 2^j) >= y.
+
+    F is ``value_at``, a function of log x.  That j is where a scan over
+    j = 0, 1, 2, ... stops.  With ``gallop`` the search doubles j
+    (0, 1, 2, 4, ...) and bisects the last doubling instead; F is
+    nondecreasing, so it stops at the same j after O(log j) probes.  That
+    pays where a probe costs the same at any argument (a closed form).  A
+    quadrature probe costs more the longer its range, and the gallop can
+    probe up to twice the scan's j, so quadrature scans.
+    """
+    def reaches(j: int) -> bool:
+        hi = la + 2.0 ** j
+        return hi > INVERT_LOG_RANGE or not value_at(hi) < y
+
+    if not gallop:
+        j = 0
+        while not reaches(j):
+            j += 1
+        return j
+    short, j = -1, 0  # every j <= short falls short of y
+    while not reaches(j):
+        short, j = j, min(max(2 * j, 1), _TOP_DOUBLING)
+    while j - short > 1:
+        mid = (short + j) // 2
+        if reaches(mid):
+            j = mid
+        else:
+            short = mid
+    return j
 
 
 def invert(functional: GrowthFunctional, y: float) -> float:
     """log x such that F(x)/scale = y, for diverging functionals.
 
-    Bisection after bracket doubling; the residual tolerance is
-    1e-9 * (1 + |y|).  A bracket past log x = 1e300 means the inverse is
-    not representable and raises HorizonExceeded.
+    Bisection on [la, la + 2^j], for the least j >= 0 with
+    F(la + 2^j)/scale >= y, until the residual is within 1e-9 * (1 + |y|).
+    For a closed form that j is found by galloping over the doubling
+    exponent and bisecting it; quadrature scans j = 0, 1, 2, ... (see
+    ``_bracket_exponent``).  Both give the same bracket, so the same
+    result.  A bracket past log x = 1e300 means the inverse is not
+    representable and raises HorizonExceeded.
     """
     if math.isnan(y) or y < 0.0:
         raise DomainError(f"cannot invert at {y!r}: values are nonnegative")
@@ -324,18 +383,16 @@ def invert(functional: GrowthFunctional, y: float) -> float:
     if y == 0.0:
         return la
     tol = 1e-9 * (1.0 + abs(y))
-    step = 1.0
-    hi = la + step
-    while evaluate(functional, hi) < y:
-        step *= 2.0
-        hi = la + step
-        if hi > INVERT_LOG_RANGE:
-            raise HorizonExceeded(
-                f"inverse of {functional.describe()} at {y!r} exceeds log range {INVERT_LOG_RANGE:g}")
+    closed = _closed(functional)
+    value_at = _evaluator(functional, closed)
+    hi = la + 2.0 ** _bracket_exponent(value_at, la, y, gallop=closed is not None)
+    if hi > INVERT_LOG_RANGE:
+        raise HorizonExceeded(
+            f"inverse of {functional.describe()} at {y!r} exceeds log range {INVERT_LOG_RANGE:g}")
     lo = la
     for _ in range(INVERT_MAX_ITERS):
         mid = 0.5 * (lo + hi)
-        val = evaluate(functional, mid)
+        val = value_at(mid)
         if abs(val - y) <= tol:
             return mid
         if val < y:

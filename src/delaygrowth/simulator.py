@@ -22,8 +22,6 @@ inputs drawn from [0, 700] they differed from the math module on 60 for
 (const, power, linear) evaluate g on an array, and the others map their
 scalar formula over the window.
 
-``simulate_direct`` repeats the computation in plain float arithmetic as
-an independent cross-check for ranges where that is possible, and
 ``simulate_undelayed`` iterates the pure recursion y[k+1] = y[k] + g(y[k])
 that the delayed dynamics shadow in the superlinear regimes.
 """
@@ -53,7 +51,7 @@ WINDOW_MIN_STEPS = 4
 __all__ = [
     "History", "ConstantHistory", "RampHistory", "parse_history",
     "Scenario", "Trajectory", "SimulationError",
-    "simulate_euler", "simulate_direct",
+    "simulate_euler",
     "UndelayedRun", "simulate_undelayed", "write_trajectory_csv",
 ]
 
@@ -293,30 +291,6 @@ def _step_windows(scenario: Scenario, states: list[float]) -> bool:
                 return True
             states.extend(block[1:].tolist())
     return False
-
-
-def simulate_direct(scenario: Scenario, cap: float = 1e15) -> Trajectory:
-    """The same recursion in plain float arithmetic, stopping at ``cap``.
-
-    An independent route for cross-checking the log-domain stepping on
-    ranges where doubles suffice.
-    """
-    _positive(cap, "cap")
-    n_delay = scenario.steps_per_delay
-    h = scenario.h
-    xs: list[float] = list(scenario.history_samples())
-    truncated = False
-    for _ in range(scenario.planned_steps()):
-        x = xs[-1] + h * scenario.f.value(xs[-1]) + h * scenario.g.value(xs[-1 - n_delay])
-        if math.isnan(x):
-            raise SimulationError(f"state became undefined after {len(xs)} samples")
-        if x > cap:
-            truncated = True
-            break
-        xs.append(x)
-    return Trajectory(scenario=scenario,
-                      log_states=tuple(math.log(v) for v in xs),
-                      truncated=truncated)
 
 
 _UNDELAYED_KINDS = (RegimeKind.RV1_SUPERLINEAR, RegimeKind.POLY_SUPERLINEAR,

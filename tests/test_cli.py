@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from delaygrowth import cli
@@ -256,3 +261,19 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
     monkeypatch.setattr("sys.argv", ["delaygrowth", "chareq", "C=1", "tau=1"])
     assert main() == 0
     assert capsys.readouterr().out.strip() == "0.567143290410"
+
+
+# ---------------------------------------------------------------------------
+# start-up cost
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy.special is most of the import time; only the RV1 ode-time
+    # closed form needs it, and it imports it when called
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, delaygrowth.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"

@@ -15,11 +15,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
 CONFIGS = sorted(p.name for p in CONFIG_DIR.glob("*.cfg"))
 
+REFERENCE_RUNS = list(json.loads(
+    (ROOT / "bench" / "reference" / "reference.json").read_text())["runs"].values())
 # the benchmark's reference runs, keyed by their argv (paths relative to ROOT)
-REFERENCE_STDOUT = {
-    tuple(run["argv"]): run["stdout_sha256"]
-    for run in json.loads((ROOT / "bench" / "reference" / "reference.json")
-                          .read_text())["runs"].values()}
+REFERENCE_STDOUT = {tuple(run["argv"]): run["stdout_sha256"] for run in REFERENCE_RUNS}
+# the SHA-256 of the out= file of each reference run with one, by config
+REFERENCE_OUT = {run["argv"][0]: run["out_sha256"]
+                 for run in REFERENCE_RUNS if run["out_sha256"]}
 
 # distinct trajectory fingerprints each config simulates, in run order; a
 # changed Euler bit anywhere in the corpus shows up here
@@ -96,6 +98,16 @@ def test_long_runs_match_the_golden_fingerprints(args, fingerprint, monkeypatch,
     seen, stdout = fingerprints_simulated(["verify", *args], monkeypatch, capsys)
     assert seen == [fingerprint]
     assert stdout == REFERENCE_STDOUT[("verify", *args)]
+
+
+@pytest.mark.parametrize("config", sorted(REFERENCE_OUT))
+def test_out_files_match_the_reference_bytes(config, tmp_path, capsys):
+    # the CSV bytes only: stdout echoes the path, which differs here
+    target = tmp_path / "out.csv"
+    code = main([str(ROOT / config), f"out={target}"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == REFERENCE_OUT[config]
 
 
 def test_undelayed_run_matches_its_golden_fingerprint():

@@ -2,17 +2,18 @@ import math
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from delaygrowth.coefficients import (
     Constant, ExpLogPow, Linear, LinTimesExpLogPow, Power, PowerLog, Zero,
 )
-from delaygrowth.errors import DomainError, HorizonExceeded
+from delaygrowth.errors import DomainError, HorizonExceeded, NumericError
 from delaygrowth.functionals import (
-    FunctionalKind, GrowthFunctional, NestedLogProduct, default_ode_lower,
-    diverges, evaluate, evaluate_many, gain_time, invert,
-    ode_time, sublinear_time,
+    INVERT_LOG_RANGE, INVERT_MAX_ITERS, FunctionalKind, GrowthFunctional,
+    NestedLogProduct, default_ode_lower, diverges, evaluate, evaluate_many,
+    gain_time, invert, ode_time, sublinear_time, _bracket_exponent, _closed,
+    _evaluator,
 )
 
 
@@ -95,7 +96,7 @@ def test_gain_closed_form():
 ])
 def test_ode_quadrature_matches_reference(coeff, lower, u):
     F = ode_time(coeff, lower)
-    assert coeff.closed_ode(F.log_lower, u) is None
+    assert coeff.closed_ode(F.log_lower) is None
     ref, ref_err = quad(lambda w: math.exp(w) / coeff.value(math.exp(w)),
                         math.log(lower), u, limit=200)
     assert evaluate(F, u) == pytest.approx(ref, rel=1e-8, abs=10.0 * ref_err)
@@ -186,6 +187,198 @@ def test_invert_out_of_range_raises_horizon():
     F = ode_time(NestedLogProduct(3), math.e)
     with pytest.raises(HorizonExceeded):
         invert(F, 10.0)
+
+
+# ---------------------------------------------------------------------------
+# the bracket search against the doubling scan
+
+def scan_invert(functional, y):
+    """``invert`` with its bracket from a plain doubling scan: the reference.
+
+    Every result must match it in the last bit, because bisection stops at
+    the first midpoint within tolerance and so depends on the bracket.
+    """
+    if math.isnan(y) or y < 0.0:
+        raise DomainError(f"cannot invert at {y!r}: values are nonnegative")
+    if math.isinf(y):
+        raise HorizonExceeded(
+            f"inverse of {functional.describe()} at infinity is not representable")
+    if not diverges(functional):
+        raise DomainError(
+            f"{functional.describe()} is bounded; its inverse is not defined for all values")
+    la = functional.log_lower
+    if y == 0.0:
+        return la
+    tol = 1e-9 * (1.0 + abs(y))
+    step = 1.0
+    hi = la + step
+    while evaluate(functional, hi) < y:
+        step *= 2.0
+        hi = la + step
+        if hi > INVERT_LOG_RANGE:
+            raise HorizonExceeded(
+                f"inverse of {functional.describe()} at {y!r} exceeds log range {INVERT_LOG_RANGE:g}")
+    lo = la
+    for _ in range(INVERT_MAX_ITERS):
+        mid = 0.5 * (lo + hi)
+        val = evaluate(functional, mid)
+        if abs(val - y) <= tol:
+            return mid
+        if val < y:
+            lo = mid
+        else:
+            hi = mid
+    raise NumericError(f"inversion of {functional.describe()} at {y!r} did not converge")
+
+
+def outcome(fn, *args):
+    """The result as float hex, or the exception's type and message."""
+    try:
+        return fn(*args).hex()
+    except (DomainError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# every diverging catalog functional, by how it is evaluated
+CLOSED_DIVERGING = [
+    ode_time(Constant(2.0), 1.0),
+    ode_time(Power(1.0, 0.5), math.e),
+    ode_time(Power(3.0, 1.0), 2.0),
+    ode_time(Linear(3.0), 2.0),
+    ode_time(PowerLog(2.0, 0.5, 0.0), 1.5),
+    ode_time(PowerLog(1.0, 1.0, 1.0), math.e),
+    ode_time(PowerLog(1.0, 1.0, 0.5), math.e),
+    ode_time(PowerLog(1.0, 1.0, -2.0), 2.0),
+    ode_time(NestedLogProduct(3), math.e),
+    ode_time(NestedLogProduct(2), 1.0),
+    gain_time(Linear(2.0)),
+    gain_time(Power(0.5, 1.0)),
+]
+QUADRATURE_DIVERGING = [
+    ode_time(PowerLog(2.0, 0.5, -1.0), 3.0),
+    ode_time(ExpLogPow(1.0, 0.5), 1.0),
+    ode_time(ExpLogPow(1.0, 1.0), 1.0),
+    gain_time(Constant(5.0)),
+    gain_time(Power(2.0, 0.5)),
+    gain_time(Power(1.0, 2.0)),
+    gain_time(LinTimesExpLogPow(1.0, 0.5)),
+    gain_time(ExpLogPow(1.0, 0.5)),
+    GrowthFunctional(FunctionalKind.GAIN_TIME, PowerLog(1.0, 2.0, 1.0), 2.0),
+    GrowthFunctional(FunctionalKind.GAIN_TIME, NestedLogProduct(3), math.e),
+]
+INVERT_YS = [1e-6, 1e-3, 0.1, 1.0, 3.7, 10.0, 100.0, 1e3, 1e5, 1e9]
+
+
+def test_the_catalog_lists_are_what_they_say():
+    for F in CLOSED_DIVERGING + QUADRATURE_DIVERGING:
+        assert diverges(F)
+        assert (_closed(F) is not None) == (F in CLOSED_DIVERGING)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37, 5.0])
+@pytest.mark.parametrize("F", CLOSED_DIVERGING, ids=str)
+def test_invert_matches_the_doubling_scan_on_closed_forms(F, scale):
+    F = replace(F, scale=scale)
+    for y in INVERT_YS:
+        assert outcome(invert, F, y) == outcome(scan_invert, F, y), y
+
+
+# quadrature costs up to a few tenths of a second per inverse, so fewer
+# points; the gain-time nested log is left out at 1e9, where the scan
+# integrates over a range of 2^32 for minutes
+@pytest.mark.parametrize("scale", [1.0, 5.0])
+@pytest.mark.parametrize("F", QUADRATURE_DIVERGING, ids=str)
+def test_invert_matches_the_doubling_scan_on_quadrature(F, scale):
+    F = replace(F, scale=scale)
+    ys = [1e-6, 10.0] if isinstance(F.coeff, NestedLogProduct) else [1e-6, 10.0, 1e9]
+    for y in ys:
+        assert outcome(invert, F, y) == outcome(scan_invert, F, y), y
+
+
+def test_invert_matches_the_doubling_scan_on_bad_values():
+    F = ode_time(Constant(2.0), 1.0)
+    for y in (-1.0, math.nan, math.inf, 0.0):
+        assert outcome(invert, F, y) == outcome(scan_invert, F, y)
+    bounded = ode_time(Power(1.0, 2.0), 1.0)
+    assert outcome(invert, bounded, 0.5) == outcome(scan_invert, bounded, 0.5)
+
+
+def test_invert_of_the_rv1_window_count_is_pinned():
+    # a probe past the scan's bracket fails to converge here, so the
+    # quadrature route must not look beyond the scan's stop
+    assert invert(gain_time(LinTimesExpLogPow(1.0, 0.5)), 1e3).hex() == "0x1.e9a867e000000p+17"
+
+
+def test_the_gallop_needs_logarithmically_many_probes():
+    # the envelope functional of g = x^2: F(x) = log log x / log 2, so
+    # y = 900 needs log x near 2^900 and a scan probes about 900 times
+    F = ode_time(PowerLog(1.0, 1.0, 1.0), math.e, scale=math.log(2.0))
+    evaluator = _evaluator(F, _closed(F))
+    probes = []
+
+    def counted(log_x):
+        probes.append(log_x)
+        return evaluator(log_x)
+
+    y = 900.0
+    j = _bracket_exponent(counted, F.log_lower, y, gallop=True)
+    assert j == _bracket_exponent(evaluator, F.log_lower, y, gallop=False)
+    assert j > 800
+    assert len(probes) <= 2 * math.ceil(math.log2(j)) + 1
+
+
+# ---------------------------------------------------------------------------
+# batch evaluation against pointwise evaluation
+
+@settings(max_examples=60, deadline=None)
+@given(F=st.sampled_from(CLOSED_DIVERGING + [ode_time(Power(1.0, 2.0), 1.0),
+                                             ode_time(LinTimesExpLogPow(1.0, 0.5), 1.0),
+                                             ode_time(ExpLogPow(1.0, 2.0), 1.0)]),
+       offsets=st.lists(st.floats(0.0, 800.0), max_size=12),
+       scale=st.sampled_from([1.0, 0.37, 5.0]))
+def test_evaluate_many_is_evaluate_bit_for_bit_on_closed_forms(F, offsets, scale):
+    F = replace(F, scale=scale)
+    points = [F.log_lower + d for d in offsets]
+    assert [v.hex() for v in evaluate_many(F, points)] == \
+        [evaluate(F, v).hex() for v in points]
+
+
+@settings(max_examples=20, deadline=None)
+@given(F=st.sampled_from(QUADRATURE_DIVERGING),
+       offsets=st.lists(st.floats(0.0, 5.0), min_size=2, max_size=5))
+def test_evaluate_many_is_evaluate_bit_for_bit_on_unsorted_quadrature(F, offsets):
+    points = [F.log_lower + d for d in offsets]
+    if all(b >= a for a, b in zip(points, points[1:])):
+        points.reverse()    # sorted arguments take the incremental route
+    if all(b >= a for a, b in zip(points, points[1:])):
+        return              # all equal
+    assert [v.hex() for v in evaluate_many(F, points)] == \
+        [evaluate(F, v).hex() for v in points]
+
+
+@pytest.mark.parametrize("F", CLOSED_DIVERGING + [ode_time(Power(1.0, 2.0), 1.0),
+                                                 ode_time(PowerLog(1.0, 3.0, 0.0), 2.0)],
+                         ids=str)
+def test_the_functional_is_plus_zero_at_its_lower_reference(F):
+    # a closed form written out at u = la gives -0.0 where its
+    # denominator is negative (power above 1), so the lower reference is
+    # its own case
+    la = F.log_lower
+    assert evaluate(F, la).hex() == "0x0.0p+0"
+    assert [v.hex() for v in evaluate_many(F, [la, la])] == ["0x0.0p+0"] * 2
+
+
+@pytest.mark.parametrize("F", [ode_time(Constant(2.0), 2.0),
+                               ode_time(PowerLog(2.0, 0.5, -1.0), 3.0)], ids=str)
+@pytest.mark.parametrize("bad", [0.0, -math.inf, math.inf, math.nan])
+def test_evaluate_many_raises_what_evaluate_raises(F, bad):
+    la = F.log_lower
+    points = [la + 1.0, la + 2.0, bad, la + 3.0, la - 1.0]
+    with pytest.raises(DomainError) as many:
+        evaluate_many(F, points)
+    with pytest.raises(DomainError) as single:
+        [evaluate(F, v) for v in points]
+    assert str(many.value) == str(single.value)
 
 
 # ---------------------------------------------------------------------------

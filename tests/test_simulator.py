@@ -15,7 +15,7 @@ from delaygrowth.functionals import ode_time
 from delaygrowth.logdomain import LOG_CAP
 from delaygrowth.simulator import (
     ConstantHistory, RampHistory, Scenario, SimulationError, Trajectory,
-    parse_history, simulate_direct, simulate_euler,
+    parse_history, simulate_euler,
     simulate_undelayed, write_trajectory_csv, _step_singly, _step_windows,
 )
 
@@ -25,6 +25,29 @@ def scenario(**kw):
                 history=ConstantHistory(1.0), horizon=2.0)
     base.update(kw)
     return Scenario(**base)
+
+
+def simulate_direct(scenario: Scenario, cap: float = 1e15) -> Trajectory:
+    """The same recursion in plain float arithmetic, stopping at ``cap``.
+
+    An independent route for cross-checking the log-domain stepping on
+    ranges where doubles suffice.
+    """
+    n_delay = scenario.steps_per_delay
+    h = scenario.h
+    xs: list[float] = list(scenario.history_samples())
+    truncated = False
+    for _ in range(scenario.planned_steps()):
+        x = xs[-1] + h * scenario.f.value(xs[-1]) + h * scenario.g.value(xs[-1 - n_delay])
+        if math.isnan(x):
+            raise SimulationError(f"state became undefined after {len(xs)} samples")
+        if x > cap:
+            truncated = True
+            break
+        xs.append(x)
+    return Trajectory(scenario=scenario,
+                      log_states=tuple(math.log(v) for v in xs),
+                      truncated=truncated)
 
 
 # ---------------------------------------------------------------------------
