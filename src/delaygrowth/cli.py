@@ -24,6 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from typing import IO, Callable
 
 from .analysis import (
     PredictionRefused, default_functional, envelope_check, envelope_margins,
@@ -32,9 +33,8 @@ from .analysis import (
 )
 from .coefficients import parse_coefficient
 from .errors import DomainError, HorizonExceeded, NumericError
-from .functionals import GrowthFunctional
 from .simulator import (
-    Scenario, Trajectory, parse_history, simulate_euler, write_trajectory_csv,
+    Scenario, parse_history, simulate_euler, write_trajectory_csv,
 )
 
 COMMANDS = ("simulate", "predict", "verify", "sweep", "chareq", "envelope")
@@ -153,28 +153,21 @@ def build_scenario(config: RunConfig) -> Scenario:
                     horizon=config.get_float("horizon"))
 
 
-def _unwritable(path: str, exc: OSError) -> ConfigError:
-    return ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+def _write_out(path: str, write: Callable[[IO[str]], object]) -> None:
+    """Hand ``write`` the ASCII text file at ``path``.
 
-
-def _write_rows(target: str | None, header: str, rows: list[str]) -> None:
-    text = header + "\n" + "".join(row + "\n" for row in rows)
-    if target is None:
-        sys.stdout.write(text)
-        return
+    A path that cannot be written is a configuration problem (exit 2), not a
+    failed run (exit 1).
+    """
     try:
-        with open(target, "w", encoding="ascii", newline="\n") as handle:
-            handle.write(text)
+        with open(path, "w", encoding="ascii", newline="\n") as handle:
+            write(handle)
     except OSError as exc:
-        raise _unwritable(target, exc) from None
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _write_trajectory(target: str, trajectory: Trajectory,
-                      functional: GrowthFunctional | None) -> None:
-    try:
-        write_trajectory_csv(trajectory, target, functional)
-    except OSError as exc:
-        raise _unwritable(target, exc) from None
+def _csv(header: str, rows: list[str]) -> str:
+    return header + "\n" + "".join(row + "\n" for row in rows)
 
 
 def _cell(value) -> str:
@@ -189,7 +182,7 @@ def cmd_simulate(config: RunConfig) -> int:
     if out is None:
         write_trajectory_csv(trajectory, sys.stdout, functional)
     else:
-        _write_trajectory(out, trajectory, functional)
+        _write_out(out, lambda handle: write_trajectory_csv(trajectory, handle, functional))
         note = " (truncated at the overflow cap)" if trajectory.truncated else ""
         print(f"wrote {len(trajectory.log_states)} rows to {out}{note}")
     return 0
@@ -208,7 +201,8 @@ def cmd_verify(config: RunConfig) -> int:
     print(format_verification(result))
     out = config.values.get("out")
     if out is not None:
-        _write_trajectory(out, result.trajectory, result.prediction.functional)
+        _write_out(out, lambda handle: write_trajectory_csv(
+            result.trajectory, handle, result.prediction.functional))
         print(f"wrote trajectory to {out}")
     return 0 if result.passed else 1
 
@@ -235,9 +229,12 @@ def cmd_sweep(config: RunConfig) -> int:
     # the h -> 0 limit goes in a final row with the grid sentinel 0
     rows.append(f"0,0.0,{_cell(result.continuous_rate)},"
                 f"{_cell(result.extrapolated)},extrapolated")
+    text = _csv("N,h,predicted,estimated,status", rows)
     out = config.values.get("out")
-    _write_rows(out, "N,h,predicted,estimated,status", rows)
-    if out is not None:
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        _write_out(out, lambda handle: handle.write(text))
         print(f"regime: {result.regime.kind.value}")
         print(f"extrapolated rate at h=0: {result.extrapolated!r} "
               f"(predicted {result.continuous_rate!r})")
@@ -268,7 +265,8 @@ def cmd_envelope(config: RunConfig) -> int:
         trajectory = check.trajectory
         rows = [f"{n},{repr(trajectory.time(n))},{repr(state)},{repr(env)}"
                 for n, state, env in envelope_margins(trajectory, params)]
-        _write_rows(out, "n,t,log_x,envelope", rows)
+        text = _csv("n,t,log_x,envelope", rows)
+        _write_out(out, lambda handle: handle.write(text))
         print(f"wrote margins to {out}")
     return 0 if check.holds else 1
 

@@ -12,6 +12,9 @@ config files:
     zero | const(c) | power(c,beta) | linear(C) | xexplogpow(c,alpha)
          | explogpow(c,alpha) | powerlog(c,beta,gamma)
 
+``const(c)`` and ``linear(C)`` are ``power`` with the exponent fixed at 0
+and 1: they differ from it only in their syntax and error messages.
+
 Each shape owns its mathematics: ``regime()`` names the growth regime that
 fixes which rate law applies, ``reciprocal_diverges()`` and
 ``gain_diverges()`` say whether the ode-time and gain-time functionals of
@@ -28,9 +31,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -228,41 +231,6 @@ class Zero(CoefficientSpec):
 
 
 @dataclass(frozen=True)
-class Constant(CoefficientSpec):
-    """F(x) = level."""
-
-    level: float
-
-    def __post_init__(self):
-        _positive(self.level, "const level")
-
-    def log_term(self, u: float) -> float:
-        return math.log(self.level)
-
-    def log_terms(self, us: np.ndarray) -> np.ndarray:
-        return np.full(len(us), math.log(self.level))
-
-    def value(self, x: float) -> float:
-        return self.level
-
-    def regime(self) -> Regime:
-        return Regime(RegimeKind.SUBLINEAR_RV, 0.0)
-
-    def reciprocal_diverges(self) -> bool:
-        return True
-
-    def gain_diverges(self) -> bool:
-        return True
-
-    def closed_ode(self, la: float) -> ClosedForm:
-        lo, level = _exp(la), self.level
-        return lambda u: (_exp(u) - lo) / level
-
-    def __str__(self) -> str:
-        return f"const({self.level!r})"
-
-
-@dataclass(frozen=True)
 class Power(CoefficientSpec):
     """F(x) = coefficient * x**exponent with exponent >= 0.
 
@@ -273,8 +241,11 @@ class Power(CoefficientSpec):
     coefficient: float
     exponent: float
 
+    # what the coefficient is called in error messages
+    _LABEL = "power coefficient"
+
     def __post_init__(self):
-        _positive(self.coefficient, "power coefficient")
+        _positive(self.coefficient, self._LABEL)
         _require(math.isfinite(self.exponent) and self.exponent >= 0,
                  f"power exponent must be nonnegative, got {self.exponent!r}")
 
@@ -314,42 +285,27 @@ class Power(CoefficientSpec):
 
 
 @dataclass(frozen=True)
-class Linear(CoefficientSpec):
-    """F(x) = slope * x."""
+class Constant(Power):
+    """F(x) = coefficient, the power law with exponent 0."""
 
-    slope: float
+    exponent: float = field(default=0.0, init=False)
 
-    def __post_init__(self):
-        _positive(self.slope, "linear slope")
-
-    def log_term(self, u: float) -> float:
-        return math.log(self.slope) + u
-
-    def log_terms(self, us: np.ndarray) -> np.ndarray:
-        return math.log(self.slope) + us
-
-    def value(self, x: float) -> float:
-        return self.slope * x
-
-    def regime(self) -> Regime:
-        return Regime(RegimeKind.LINEAR_RV, self.slope)
-
-    def reciprocal_diverges(self) -> bool:
-        return True
-
-    def gain_diverges(self) -> bool:
-        return True
-
-    def closed_ode(self, la: float) -> ClosedForm:
-        slope = self.slope
-        return lambda u: (u - la) / slope
-
-    def closed_gain(self, la: float) -> ClosedForm:
-        rate = math.log1p(self.slope)
-        return lambda u: (u - la) / rate
+    _LABEL = "const level"
 
     def __str__(self) -> str:
-        return f"linear({self.slope!r})"
+        return f"const({self.coefficient!r})"
+
+
+@dataclass(frozen=True)
+class Linear(Power):
+    """F(x) = coefficient * x, the power law with exponent 1."""
+
+    exponent: float = field(default=1.0, init=False)
+
+    _LABEL = "linear slope"
+
+    def __str__(self) -> str:
+        return f"linear({self.coefficient!r})"
 
 
 @dataclass(frozen=True)
@@ -584,24 +540,20 @@ def _as_log_fn(obj) -> LogScaleFn:
     raise DomainError(f"cannot probe {obj!r}: need a coefficient shape or a log-scale callable")
 
 
-def limit_probe(numerator, denominator,
-                scales: Sequence[float] = DEFAULT_PROBE_SCALES) -> LimitVerdict:
+def limit_probe(numerator, denominator) -> LimitVerdict:
     """Empirical verdict on lim numerator(x)/denominator(x) as x grows.
 
     Both arguments are coefficient shapes or callables returning
-    log F(e^u).  The log-ratio is evaluated at each rung of an increasing
-    ladder of log-scales (at least four rungs):
+    log F(e^u).  The log-ratio is evaluated at each rung of the increasing
+    ladder of log-scales ``DEFAULT_PROBE_SCALES``:
 
     * strictly decreasing and ending below -log 100  ->  Zero
     * strictly increasing and ending above +log 100  ->  Infinite
     * last three rungs within 1e-3 of each other     ->  Finite(exp(last))
     * anything else                                  ->  Inconclusive
     """
-    scales = tuple(float(s) for s in scales)
-    if len(scales) < 4 or any(b <= a for a, b in zip(scales, scales[1:])):
-        raise DomainError("probe ladder must be strictly increasing with at least 4 rungs")
     fnum, fden = _as_log_fn(numerator), _as_log_fn(denominator)
-    ratios = tuple(fnum(s) - fden(s) for s in scales)
+    ratios = tuple(fnum(s) - fden(s) for s in DEFAULT_PROBE_SCALES)
 
     if ratios[-1] == -math.inf:
         return LimitVerdict(LimitKind.ZERO, log_ratios=ratios)
@@ -622,14 +574,15 @@ def limit_probe(numerator, denominator,
 
 _CALL_RE = re.compile(r"^([a-z]+)\s*(?:\(\s*(.*?)\s*\))?$", re.DOTALL)
 
-_ARITY = {
-    "zero": 0,
-    "const": 1,
-    "power": 2,
-    "linear": 1,
-    "xexplogpow": 2,
-    "explogpow": 2,
-    "powerlog": 3,
+# name -> shape; a shape takes one parameter per init field
+_SHAPES: dict[str, type[CoefficientSpec]] = {
+    "zero": Zero,
+    "const": Constant,
+    "power": Power,
+    "linear": Linear,
+    "xexplogpow": LinTimesExpLogPow,
+    "explogpow": ExpLogPow,
+    "powerlog": PowerLog,
 }
 
 
@@ -639,7 +592,7 @@ def parse_coefficient(text: str) -> CoefficientSpec:
     if m is None:
         raise DomainError(f"cannot parse coefficient {text!r}")
     name, argstr = m.group(1), m.group(2)
-    if name not in _ARITY:
+    if name not in _SHAPES:
         raise DomainError(f"unknown coefficient shape {name!r}")
     args: list[float] = []
     if argstr:
@@ -648,19 +601,8 @@ def parse_coefficient(text: str) -> CoefficientSpec:
                 args.append(float(tok.strip()))
             except ValueError as exc:
                 raise DomainError(f"bad numeric parameter {tok.strip()!r} in {text!r}") from exc
-    if len(args) != _ARITY[name]:
-        raise DomainError(
-            f"{name} takes {_ARITY[name]} parameter(s), got {len(args)} in {text!r}")
-    if name == "zero":
-        return Zero()
-    if name == "const":
-        return Constant(args[0])
-    if name == "power":
-        return Power(args[0], args[1])
-    if name == "linear":
-        return Linear(args[0])
-    if name == "xexplogpow":
-        return LinTimesExpLogPow(args[0], args[1])
-    if name == "explogpow":
-        return ExpLogPow(args[0], args[1])
-    return PowerLog(args[0], args[1], args[2])
+    shape = _SHAPES[name]
+    arity = sum(f.init for f in fields(shape))
+    if len(args) != arity:
+        raise DomainError(f"{name} takes {arity} parameter(s), got {len(args)} in {text!r}")
+    return shape(*args)

@@ -204,25 +204,21 @@ class Trajectory:
         return -self.scenario.steps_per_delay
 
     @property
-    def n_end(self) -> int:
-        return self.n_start + len(self.log_states) - 1
-
-    @property
     def forward_steps(self) -> int:
-        """Completed steps past t = 0."""
-        return self.n_end
+        """Completed steps past t = 0, the last grid index."""
+        return self.n_start + len(self.log_states) - 1
 
     def state(self, n: int) -> float:
         """log x at grid index n."""
-        if not self.n_start <= n <= self.n_end:
-            raise DomainError(f"grid index {n} outside [{self.n_start}, {self.n_end}]")
+        if not self.n_start <= n <= self.forward_steps:
+            raise DomainError(f"grid index {n} outside [{self.n_start}, {self.forward_steps}]")
         return self.log_states[n - self.n_start]
 
     def time(self, n: int) -> float:
         return n * self.h
 
     def indices(self) -> range:
-        return range(self.n_start, self.n_end + 1)
+        return range(self.n_start, self.forward_steps + 1)
 
     def fingerprint(self) -> str:
         """First 16 hex digits of the SHA-256 of the states and the truncation flag."""
@@ -335,9 +331,10 @@ def simulate_undelayed(g: CoefficientSpec, start: float, n_steps: int) -> Undela
     return UndelayedRun(log_states=tuple(states), truncated=truncated)
 
 
-def write_trajectory_csv(trajectory: Trajectory, target,
+def write_trajectory_csv(trajectory: Trajectory, target: IO[str],
                          functional: GrowthFunctional | None = None) -> None:
-    """Write grid samples as CSV: ``n,t,log_x,functional,ratio``.
+    """Write grid samples as CSV to the open text stream ``target``:
+    ``n,t,log_x,functional,ratio``.
 
     The functional and ratio columns are filled for indices n > 0 whose
     state has reached the functional's lower reference, and left empty
@@ -351,20 +348,13 @@ def write_trajectory_csv(trajectory: Trajectory, target,
         results = evaluate_many(functional, [trajectory.state(n) for n in eligible])
         values = dict(zip(eligible, results))
 
-    def render(fh: IO[str]) -> None:
-        fh.write("n,t,log_x,functional,ratio\n")
-        for n in trajectory.indices():
-            t = trajectory.time(n)
-            parts = [str(n), repr(t), repr(trajectory.state(n))]
-            if n in values:
-                parts.append(repr(values[n]))
-                parts.append(repr(values[n] / t))
-            else:
-                parts.extend(["", ""])
-            fh.write(",".join(parts) + "\n")
-
-    if hasattr(target, "write"):
-        render(target)
-    else:
-        with open(target, "w", encoding="ascii", newline="\n") as fh:
-            render(fh)
+    target.write("n,t,log_x,functional,ratio\n")
+    for n in trajectory.indices():
+        t = trajectory.time(n)
+        parts = [str(n), repr(t), repr(trajectory.state(n))]
+        if n in values:
+            parts.append(repr(values[n]))
+            parts.append(repr(values[n] / t))
+        else:
+            parts.extend(["", ""])
+        target.write(",".join(parts) + "\n")

@@ -204,6 +204,45 @@ def test_unwritable_out_exits_2(tmp_path, capsys, args):
     assert f"error: cannot write {out}: No such file or directory" in capsys.readouterr().err
 
 
+_PREDICT = ["predict", "tau=1", "N=4", "horizon=10"]
+
+
+@pytest.mark.parametrize("args,message", [
+    # the texts of test_parse_rejects_malformed_input, as g=
+    (["g=wibble(1.0)"], "unknown coefficient shape 'wibble'"),
+    (["g=power(1.0)"], "power takes 2 parameter(s), got 1 in 'power(1.0)'"),
+    (["g=power(1.0, 2.0, 3.0)"],
+     "power takes 2 parameter(s), got 3 in 'power(1.0, 2.0, 3.0)'"),
+    (["g=const()"], "const takes 1 parameter(s), got 0 in 'const()'"),
+    (["g=const(-1.0)"], "const level must be positive and finite, got -1.0"),
+    (["g=const(two)"], "bad numeric parameter 'two' in 'const(two)'"),
+    (["g=zero(1.0)"], "zero takes 0 parameter(s), got 1 in 'zero(1.0)'"),
+    (["g="], "override 'g=': expected KEY=VALUE"),
+    # the power-law shapes: parameters out of range and a wrong arity
+    (["g=const(1e400)"], "const level must be positive and finite, got inf"),
+    (["g=linear(0)"], "linear slope must be positive and finite, got 0.0"),
+    (["g=linear(1,2)"], "linear takes 1 parameter(s), got 2 in 'linear(1,2)'"),
+    (["g=power(1,nan)"], "power exponent must be nonnegative, got nan"),
+    (["g=const(1)", "psi=ramp(1,2,3)"], "cannot parse history 'ramp(1,2,3)'"),
+    (["g=const(1)", "psi=ramp(1,nan)"],
+     "history end must be positive and finite, got nan"),
+    (["g=const(1)", "speed=9"], "override 'speed=9': unknown key 'speed'"),
+])
+def test_rejected_input_gives_the_exact_message(args, message, capsys):
+    assert main(_PREDICT + ["psi=const(1)"] + args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_duplicate_config_key_gives_the_exact_message(tmp_path, capsys):
+    path = write_config(tmp_path, "command = predict\ntau = 1\ntau = 2\n")
+    assert main([path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}:3: duplicate key 'tau'\n"
+
+
 def test_non_ascii_config_exits_2(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_bytes((SUBLINEAR + "# delay \u03c4\n").encode("utf-8"))

@@ -78,7 +78,7 @@ def test_early_steps_consume_the_history_in_order():
 def test_states_increase_strictly():
     traj = simulate_euler(scenario(f=Linear(0.5), g=Linear(1.0),
                                    steps_per_delay=8, horizon=6.0))
-    forward = [traj.state(n) for n in range(0, traj.n_end + 1)]
+    forward = [traj.state(n) for n in range(0, traj.forward_steps + 1)]
     assert all(b > a for a, b in zip(forward, forward[1:]))
 
 
@@ -104,9 +104,9 @@ def test_fast_growth_truncates_cleanly():
                   horizon=2000.0)
     traj = simulate_euler(sc)
     assert traj.truncated
-    assert traj.n_end * traj.h < 2000.0
+    assert traj.forward_steps * traj.h < 2000.0
     assert all(v <= LOG_CAP for v in traj.log_states)
-    forward = [traj.state(n) for n in range(0, traj.n_end + 1)]
+    forward = [traj.state(n) for n in range(0, traj.forward_steps + 1)]
     assert all(b > a for a, b in zip(forward, forward[1:]))
 
 
@@ -259,7 +259,7 @@ def test_state_and_time_accessors():
     assert traj.time(4) == 1.0
     assert traj.state(0) == 0.0
     with pytest.raises(DomainError):
-        traj.state(traj.n_end + 1)
+        traj.state(traj.forward_steps + 1)
     with pytest.raises(DomainError):
         traj.state(traj.n_start - 1)
 
@@ -269,12 +269,12 @@ def interpolate(trajectory: Trajectory, t: float) -> float:
     h = trajectory.h
     position = t / h
     lo = math.floor(position)
-    if lo < trajectory.n_start or lo > trajectory.n_end:
+    if lo < trajectory.n_start or lo > trajectory.forward_steps:
         raise DomainError(f"time {t!r} outside the simulated range")
-    if lo == trajectory.n_end:
-        if position > trajectory.n_end:
+    if lo == trajectory.forward_steps:
+        if position > trajectory.forward_steps:
             raise DomainError(f"time {t!r} outside the simulated range")
-        return trajectory.state(trajectory.n_end)
+        return trajectory.state(trajectory.forward_steps)
     frac = position - lo
     a, b = trajectory.state(lo), trajectory.state(lo + 1)
     return a * (1.0 - frac) + b * frac
@@ -284,7 +284,7 @@ def test_interpolation_is_log_linear():
     traj = simulate_euler(scenario())
     mid = interpolate(traj, 0.625)          # halfway between n=2 and n=3
     assert mid == pytest.approx(0.5 * (traj.state(2) + traj.state(3)))
-    assert interpolate(traj, traj.n_end * traj.h) == traj.state(traj.n_end)
+    assert interpolate(traj, traj.forward_steps * traj.h) == traj.state(traj.forward_steps)
     assert interpolate(traj, -1.0) == traj.state(-4)
     with pytest.raises(DomainError):
         interpolate(traj, 2.1)
@@ -385,8 +385,9 @@ def test_csv_output_is_deterministic(tmp_path):
     sc = scenario()
     path1 = tmp_path / "a.csv"
     path2 = tmp_path / "b.csv"
-    write_trajectory_csv(simulate_euler(sc), path1)
-    write_trajectory_csv(simulate_euler(sc), path2)
+    for path in (path1, path2):
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            write_trajectory_csv(simulate_euler(sc), fh)
     assert path1.read_bytes() == path2.read_bytes()
 
 
