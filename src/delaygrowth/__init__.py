@@ -22,7 +22,7 @@ from .coefficients import (
 from .errors import DomainError, HorizonExceeded, NumericError
 from .functionals import (
     FunctionalKind, GrowthFunctional, NestedLogProduct, default_ode_lower,
-    diverges, evaluate, evaluate_many, gain_time, invert, ode_time, sublinear_time,
+    diverges, evaluate, evaluate_many, gain_time, invert, ode_time,
 )
 from .logdomain import LOG_CAP, log_add, log_scale
 from .simulator import (
@@ -46,6 +46,6 @@ __all__ = [
     "evaluate", "evaluate_many", "format_prediction", "format_verification",
     "gain_time", "invert", "limit_probe", "log_add", "log_scale",
     "ode_time", "parse_coefficient", "parse_history", "predict",
-    "simulate_euler", "simulate_undelayed", "solve_char_eq", "sublinear_time",
-    "sweep_h", "verify_scenario", "write_trajectory_csv",
+    "simulate_euler", "simulate_undelayed", "solve_char_eq", "sweep_h",
+    "verify_scenario", "write_trajectory_csv",
 ]

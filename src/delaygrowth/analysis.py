@@ -27,13 +27,13 @@ from typing import Callable, NamedTuple, Sequence
 
 from .coefficients import (
     CoefficientSpec, DEFAULT_PROBE_SCALES, Linear, LinTimesExpLogPow, LimitKind,
-    LimitVerdict, PowerLog, RegimeKind, Regime, Zero, classify_regime,
+    LimitVerdict, PowerLog, RegimeKind, Regime, Zero, _exp, classify_regime,
     limit_probe,
 )
 from .errors import DomainError, HorizonExceeded, NumericError
 from .functionals import (
     GrowthFunctional, NestedLogProduct, default_ode_lower, diverges, evaluate,
-    evaluate_many, gain_time, invert, ode_time, sublinear_time,
+    evaluate_many, gain_time, invert, ode_time,
 )
 from .logdomain import log_add
 from .simulator import Scenario, Trajectory, simulate_euler
@@ -70,11 +70,10 @@ class EstimationError(NumericError):
 class HypothesisCheck:
     condition: str
     verdict: LimitVerdict
-    required: LimitKind
 
     @property
     def passed(self) -> bool:
-        return self.verdict.kind is self.required
+        return self.verdict.kind is LimitKind.ZERO
 
     def describe(self) -> str:
         state = "ok" if self.passed else "FAILED"
@@ -169,7 +168,7 @@ _LAWS = {
     RegimeKind.SUBLINEAR_RV: _Law(
         Observable.FUNCTIONAL_OVER_T, (("f(x)/g(x) -> 0", lambda g: g),),
         rate=lambda index, s: 1.0, grid_exact=True,
-        scale=lambda g: g, functional=lambda g: sublinear_time(g)),
+        scale=lambda g: g, functional=lambda g: ode_time(g, 1.0)),
     RegimeKind.LINEAR_RV: _Law(
         Observable.LOG_OVER_T, (_OVER_X,),
         rate=lambda index, s: solve_char_eq(index, s), grid_exact=False,
@@ -179,7 +178,8 @@ _LAWS = {
         (_OVER_X, ("f(x)/(x log(g(x)/x)) -> 0", _log_gain_denominator)),
         rate=lambda index, s: 1.0 / s, grid_exact=True,
         scale=_rv1_scale,
-        functional=lambda g: gain_time(g) if isinstance(g, LinTimesExpLogPow) else None,
+        # windows are counted from x = 1, which must lie in g's domain
+        functional=lambda g: gain_time(g) if g.supports(0.0) else None,
         notes=_rv1_notes),
     RegimeKind.POLY_SUPERLINEAR: _Law(
         Observable.LOGLOG_OVER_T, (_OVER_X, _OVER_X_LOG_X),
@@ -188,7 +188,7 @@ _LAWS = {
     RegimeKind.FASTER_THAN_POLY: _Law(
         Observable.LOGLOGLOG_OVER_T, (_OVER_X_LOG_X,),
         rate=lambda index, s: math.log(index) / s, grid_exact=False,
-        scale=lambda g: NestedLogProduct(3)),
+        scale=lambda g: NestedLogProduct()),
 }
 
 
@@ -204,9 +204,9 @@ def predict(scenario: Scenario) -> Prediction:
     if law is None:
         raise PredictionRefused(f"no rate law covers the delayed term {g}")
     checks = tuple(
-        HypothesisCheck(condition + " (f vanishes identically)", _TRIVIAL_ZERO, LimitKind.ZERO)
+        HypothesisCheck(condition + " (f vanishes identically)", _TRIVIAL_ZERO)
         if isinstance(f, Zero) else
-        HypothesisCheck(condition, limit_probe(f, denominator(g)), LimitKind.ZERO)
+        HypothesisCheck(condition, limit_probe(f, denominator(g)))
         for condition, denominator in law.probes)
     failed = [c for c in checks if not c.passed]
     if failed:
@@ -354,18 +354,17 @@ def verify_scenario(scenario: Scenario, tolerance: float = 0.05) -> Verification
         passed=passed)
 
 
-def format_prediction(prediction: Prediction, h: float | None = None) -> str:
+def format_prediction(prediction: Prediction, h: float) -> str:
     lines = [f"regime: {prediction.regime.describe()}"]
     for check in prediction.checks:
         lines.append(f"  check {check.describe()}")
     lines.append(f"observable: {prediction.observable.value}")
     lines.append(f"continuous rate: {prediction.continuous_rate!r}")
-    if h is not None:
-        discrete = prediction.discrete_rate(h)
-        if discrete is None:
-            lines.append(f"grid rate at h={h:g}: no exact value in this regime")
-        else:
-            lines.append(f"grid rate at h={h:g}: {discrete!r}")
+    discrete = prediction.discrete_rate(h)
+    if discrete is None:
+        lines.append(f"grid rate at h={h:g}: no exact value in this regime")
+    else:
+        lines.append(f"grid rate at h={h:g}: {discrete!r}")
     if prediction.functional is not None:
         lines.append(f"functional: {prediction.functional.describe()}")
     for note in prediction.notes:
@@ -409,13 +408,28 @@ class EnvelopeParams:
     g_scale: float       # x2: from here on, g respects the delayed advance bound
 
 
+def _first_rung(fits: Callable[[float], bool | None], failure: str) -> float:
+    """The earliest probe-ladder rung from which every testable rung fits.
+
+    ``fits`` returns None at a rung that cannot be tested; raises
+    DomainError(failure) when no rung qualifies.
+    """
+    flags = [fits(u) for u in DEFAULT_PROBE_SCALES]
+    for i, rung in enumerate(DEFAULT_PROBE_SCALES):
+        tested = [flag for flag in flags[i:] if flag is not None]
+        if tested and all(tested):
+            return rung
+    raise DomainError(failure)
+
+
 def derive_envelope_params(scenario: Scenario, eps: float) -> EnvelopeParams:
     """Constants making F(x(t)) < (1+eps) t + offset provable termwise.
 
-    Scans the probe ladder for the scales x1 (above which the
-    instantaneous term is an eps-fraction of the envelope slope) and x2
-    (above which the delayed term cannot outrun the envelope across one
-    delay), then starts the envelope above history + x1 + x2.
+    Finds on the probe ladder the scales x1 (above which the instantaneous
+    term is an eps-fraction of the envelope slope) and x2 (above which the
+    delayed term cannot outrun the envelope across one delay), then starts
+    the envelope above history + x1 + x2.  The scales are ladder rungs in
+    log x; ``f_scale``/``g_scale`` report x, inf past double range.
     """
     if not (0.0 < eps < 1.0):
         raise DomainError(f"eps must lie in (0, 1), got {eps!r}")
@@ -438,49 +452,26 @@ def derive_envelope_params(scenario: Scenario, eps: float) -> EnvelopeParams:
     eta_log = math.log((1.0 + eps) * rate)
     advance = (1.0 + eps) * tau
 
-    ladder = list(DEFAULT_PROBE_SCALES)
-    f_ok: list[bool | None] = []
-    g_ok: list[bool | None] = []
-    for u in ladder:
-        f_ok.append(f.value_log(u) <= math.log(eps) + eta_log + shape.value_log(u))
+    def g_fits(u: float) -> bool | None:
         if u < functional.log_lower:
-            g_ok.append(False)
-            continue
+            return False
         try:
             ahead = invert(functional, evaluate(functional, u) + advance)
         except (HorizonExceeded, NumericError):
             # the functional's value outruns double range at this rung;
             # the per-step check downstream still covers such scales
-            g_ok.append(None)
-            continue
-        g_ok.append(g.value_log(u) < eta_log + shape.value_log(ahead))
+            return None
+        return g.value_log(u) < eta_log + shape.value_log(ahead)
 
-    def first_suffix(flags: list[bool | None]) -> int | None:
-        # earliest rung from which every still-testable rung passes
-        for i in range(len(flags)):
-            tail = [flag for flag in flags[i:] if flag is not None]
-            if tail and all(tail):
-                return i
-        return None
+    log_x1 = -math.inf if isinstance(f, Zero) else _first_rung(
+        lambda u: f.value_log(u) <= math.log(eps) + eta_log + shape.value_log(u),
+        "no scale on the probe ladder from which the instantaneous term "
+        "stays below its envelope share")
+    log_x2 = _first_rung(
+        g_fits, "no scale on the probe ladder from which the delayed term "
+                "respects the envelope's delay advance")
 
-    if isinstance(f, Zero):
-        x1 = 0.0
-    else:
-        i1 = first_suffix(f_ok)
-        if i1 is None:
-            raise DomainError(
-                "no scale on the probe ladder from which the instantaneous term "
-                "stays below its envelope share")
-        x1 = math.exp(ladder[i1])
-    i2 = first_suffix(g_ok)
-    if i2 is None:
-        raise DomainError(
-            "no scale on the probe ladder from which the delayed term "
-            "respects the envelope's delay advance")
-    x2 = math.exp(ladder[i2])
-
-    log_x1 = math.log(x1) if x1 > 0.0 else -math.inf
-    start = log_add(log_add(math.log(psi_sup), log_x1), math.log(x2))
+    start = log_add(log_add(math.log(psi_sup), log_x1), log_x2)
     base = evaluate(functional, start)
     offset = base + advance
     floor_log = invert(functional, base)
@@ -488,7 +479,7 @@ def derive_envelope_params(scenario: Scenario, eps: float) -> EnvelopeParams:
         raise DomainError("envelope floor failed to clear the history")
     return EnvelopeParams(eps=eps, rate=rate, functional=functional,
                           offset=offset, floor_log=floor_log,
-                          f_scale=x1, g_scale=x2)
+                          f_scale=_exp(log_x1), g_scale=_exp(log_x2))
 
 
 @dataclass(frozen=True)

@@ -67,16 +67,13 @@ class RunConfig:
         return self.values[key]
 
     def get_float(self, key: str, default: float | None = None) -> float:
-        if key not in self.values:
-            if default is None:
-                raise ConfigError(f"command '{self.command}' needs the key '{key}'")
+        if default is not None and key not in self.values:
             return default
-        raw = self.values[key]
+        raw = self.require(key)
         try:
-            value = float(raw)
+            return float(raw)
         except ValueError:
             raise ConfigError(f"key '{key}': not a number: {raw!r}") from None
-        return value
 
     def get_int(self, key: str) -> int:
         raw = self.require(key)

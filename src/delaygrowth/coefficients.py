@@ -156,7 +156,7 @@ class CoefficientSpec:
         return np.array([self.log_term(u) for u in us.tolist()])
 
     def value(self, x: float) -> float:
-        """Direct float evaluation, for cross-checks and direct-mode runs."""
+        """Direct float evaluation, for cross-checks against the log domain."""
         raise NotImplementedError
 
     def supports(self, u: float) -> bool:

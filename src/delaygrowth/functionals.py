@@ -39,7 +39,7 @@ from .errors import DomainError, HorizonExceeded, NumericError
 
 __all__ = [
     "FunctionalKind", "GrowthFunctional", "NestedLogProduct",
-    "ode_time", "sublinear_time", "gain_time", "default_ode_lower",
+    "ode_time", "gain_time", "default_ode_lower",
     "evaluate", "evaluate_many", "invert", "diverges",
     "QUAD_ABS_TOL", "QUAD_REL_TOL", "QUAD_MAX_DEPTH",
 ]
@@ -54,43 +54,28 @@ def _softplus(u: float) -> float:
 
 @dataclass(frozen=True)
 class NestedLogProduct(CoefficientSpec):
-    """phi(x) = (1+x) * log(1+x) * ... * log_{depth-1}(1+x).
+    """phi(x) = (1+x) * log(1+x) * log log(1+x).
 
-    The product of (1+x) with the first depth-1 iterated logarithms.  Its
-    reciprocal integrates to the depth-fold iterated log, which grows
-    without bound but slower than any catalog shape, making this the
-    comparison scale for the fastest supported regimes.  Defined where the
-    innermost factor is positive: x > exp_{depth-1}(0) - 1.
+    The comparison scale for the fastest supported regimes, the triple log
+    of Hardy's logarithmico-exponential scale: the reciprocal integrates
+    to log log log(1+x), which grows without bound but slower than any
+    catalog shape.  Defined where log log(1+x) is positive: x > e - 1.
     """
 
-    depth: int = 3
-
-    def __post_init__(self):
-        if not isinstance(self.depth, int) or self.depth < 1:
-            raise DomainError(f"nested log depth must be a positive integer, got {self.depth!r}")
-
-    def _chain(self, u: float) -> list[float]:
-        # iterated logs of (1+x) starting from log(1+x), with x = e^u
-        out = [_softplus(u)]
-        for _ in range(self.depth - 1):
-            prev = out[-1]
-            out.append(math.log(prev) if prev > 0 else -math.inf)
-        return out
+    def _chain(self, u: float) -> tuple[float, float, float]:
+        # log(1+x), log log(1+x) and log log log(1+x), with x = e^u
+        log1 = _softplus(u)
+        log2 = math.log(log1) if log1 > 0 else -math.inf
+        return log1, log2, math.log(log2) if log2 > 0 else -math.inf
 
     def supports(self, u: float) -> bool:
-        if self.depth == 1:
-            return True
-        return self._chain(u)[self.depth - 2] > 0
+        return self._chain(u)[1] > 0
 
     def log_term(self, u: float) -> float:
         chain = self._chain(u)
-        if self.depth > 1 and chain[self.depth - 2] <= 0:
+        if chain[1] <= 0:
             return -math.inf
         return sum(chain)
-
-    def antiderivative_log_arg(self, u: float) -> float:
-        """log_depth(1 + e^u): the antiderivative of 1/phi at log-argument u."""
-        return self._chain(u)[-1]
 
     def reciprocal_diverges(self) -> bool:
         return True
@@ -101,32 +86,26 @@ class NestedLogProduct(CoefficientSpec):
         return True
 
     def closed_ode(self, la: float) -> ClosedForm:
-        lo, top = self.antiderivative_log_arg(la), self.antiderivative_log_arg
-        return lambda u: top(u) - lo
+        # 1/phi integrates to the triple log of 1 + x
+        lo = self._chain(la)[2]
+        return lambda u: self._chain(u)[2] - lo
 
     def value(self, x: float) -> float:
         if x <= self.domain_threshold:
             raise DomainError(f"{self} is undefined at x = {x!r}")
-        acc = 1.0 + x
-        factor = math.log(1.0 + x)
-        for _ in range(self.depth - 1):
-            acc *= factor
-            factor = math.log(factor)
-        return acc
+        log1 = math.log(1.0 + x)
+        return (1.0 + x) * log1 * math.log(log1)
 
     @property
     def domain_threshold(self) -> float:
-        t = 0.0
-        for _ in range(self.depth - 1):
-            t = _exp(t)
-        return max(t - 1.0, 0.0)
+        return math.exp(1.0) - 1.0
 
     @property
     def monotone_from(self) -> float:
         return self.domain_threshold
 
     def __str__(self) -> str:
-        return f"nestedlog({self.depth})"
+        return "nestedlog(3)"
 
 
 class FunctionalKind(Enum):
@@ -170,17 +149,9 @@ class GrowthFunctional:
             text += f", scale={self.scale:g}"
         return text + "]"
 
-    def __str__(self) -> str:
-        return self.describe()
-
 
 def ode_time(phi: CoefficientSpec, lower: float, scale: float = 1.0) -> GrowthFunctional:
     return GrowthFunctional(FunctionalKind.ODE_TIME, phi, lower, scale)
-
-
-def sublinear_time(g: CoefficientSpec) -> GrowthFunctional:
-    """The ode-time functional of a sublinear delayed term, from 1."""
-    return GrowthFunctional(FunctionalKind.ODE_TIME, g, 1.0)
 
 
 def gain_time(g: CoefficientSpec) -> GrowthFunctional:

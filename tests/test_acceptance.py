@@ -188,7 +188,7 @@ def test_09_envelopes_dominate_every_step():
 
 def test_10_faster_than_polynomial_regime():
     # closed form of the triple-log functional against quadrature
-    shape = NestedLogProduct(3)
+    shape = NestedLogProduct()
     fn = ode_time(shape, 2.0, scale=LOG2)   # any lower above e - 1 works
     worst = 0.0
     for u in np.linspace(1.5, 500.0, 20):

@@ -14,7 +14,7 @@ from delaygrowth.coefficients import (
 )
 from delaygrowth.errors import DomainError
 from delaygrowth.functionals import evaluate as evaluate_fn
-from delaygrowth.functionals import gain_time, sublinear_time
+from delaygrowth.functionals import gain_time, ode_time
 from delaygrowth.simulator import (
     ConstantHistory, Scenario, Trajectory, simulate_euler, simulate_undelayed,
 )
@@ -82,7 +82,7 @@ def test_sublinear_prediction():
     assert pred.observable is Observable.FUNCTIONAL_OVER_T
     assert pred.continuous_rate == 1.0
     assert pred.discrete_rate(0.25) == 1.0
-    assert pred.functional == sublinear_time(Constant(2.0))
+    assert pred.functional == ode_time(Constant(2.0), 1.0)
     assert len(pred.checks) == 1 and pred.checks[0].passed
     assert "vanishes identically" in pred.checks[0].condition
 
@@ -151,7 +151,7 @@ def test_prediction_refused_for_uncovered_shapes():
 
 
 def test_default_functional_mirrors_the_prediction():
-    assert default_functional(Constant(2.0)) == sublinear_time(Constant(2.0))
+    assert default_functional(Constant(2.0)) == ode_time(Constant(2.0), 1.0)
     g = LinTimesExpLogPow(1.0, 0.5)
     assert default_functional(g) == gain_time(g)
     assert default_functional(Linear(1.0)) is None
@@ -441,7 +441,7 @@ def test_estimate_functional_observable_exactly():
                   history=ConstantHistory(1.0), horizon=250.0)
     traj = simulate_euler(sc)
     est = estimate_rate(traj, Observable.FUNCTIONAL_OVER_T,
-                        sublinear_time(Constant(2.0)))
+                        ode_time(Constant(2.0), 1.0))
     assert est.status is EstimateStatus.CONVERGED
     assert est.point == pytest.approx(1.0, rel=1e-9)
 

@@ -1,9 +1,13 @@
+import contextlib
+import hashlib
+import io
 import os
 import pathlib
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaygrowth import cli
 from delaygrowth.cli import ConfigError, load_config, main
@@ -294,6 +298,85 @@ def test_envelope_violation_exits_1(monkeypatch, capsys):
                  "N=4", "horizon=60"])
     assert code == 1
     assert "holds: no" in capsys.readouterr().out
+
+
+# envelope scales on the probe ladder past double range: the rungs 1000 and
+# 3000 are log x values whose x overflows a double
+@pytest.mark.parametrize("args,floor_log", [
+    (("f=power(1e300,0.5)", "g=power(1,2)", "psi=const(1)", "horizon=10"), "3000.0"),
+    (("f=power(1e300,0.5)", "g=linear(1)", "psi=const(1)", "horizon=50"), "3000.0"),
+    (("g=power(1e300,2)", "psi=const(1)", "horizon=50"), "1000.0"),
+    (("g=power(1,2)", "psi=ramp(1e300,1)", "horizon=50"), "999.999999944112"),
+], ids=["huge-f-poly", "huge-f-linear", "huge-g-poly", "huge-history-poly"])
+def test_envelope_scales_past_double_range(args, floor_log, capsys):
+    code = main(["envelope", *args, "tau=1", "N=4"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert captured.err == ""
+    assert "holds: yes" in captured.out
+    assert f"floor (log): {floor_log}\n" in captured.out
+
+
+# the fast regime's envelope (the triple-log comparison scale) end to end:
+# stdout and the SHA-256 of the out= margins
+FAST_ENVELOPE_GOLDEN = [
+    ("explogpow(1,2)", [
+        "eps: 0.5",
+        "rate: 0.6931471805599453",
+        "offset: 4.57886138510592",
+        "floor (log): 10.000090837478638",
+        "steps checked: 118 (trajectory truncated at the overflow cap)",
+        "violations: 0",
+        "holds: yes",
+    ], "b700d37c4d9d9b009faeb8e6401667a6105416f7c8b90e2d84434a89f424551c"),
+    ("explogpow(2,3)", [
+        "eps: 0.5",
+        "rate: 1.0986122886681098",
+        "offset: 3.4425452549855544",
+        "floor (log): 10.000090837478638",
+        "steps checked: 77 (trajectory truncated at the overflow cap)",
+        "violations: 0",
+        "holds: yes",
+    ], "dae91631d1c620f2441cf4e1be44b048f6792653867d3504b1aa98f0e617d843"),
+]
+
+
+@pytest.mark.parametrize("g,lines,out_sha256", FAST_ENVELOPE_GOLDEN,
+                         ids=[g for g, _, _ in FAST_ENVELOPE_GOLDEN])
+def test_fast_regime_envelope_matches_the_golden_bytes(g, lines, out_sha256, tmp_path, capsys):
+    out = tmp_path / "margins.csv"
+    code = main(["envelope", f"g={g}", "tau=1", "psi=const(2)", "N=8",
+                 "horizon=100", f"out={out}"])
+    assert code == 0
+    assert capsys.readouterr().out == "\n".join(lines + [f"wrote margins to {out}"]) + "\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == out_sha256
+
+
+_COEFF = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: f"{10.0 ** e!r}")
+_SHAPE = st.one_of(
+    st.builds("const({})".format, _COEFF),
+    st.builds("linear({})".format, _COEFF),
+    st.builds("power({},{})".format, _COEFF, st.floats(0.0, 3.0)),
+    st.builds("xexplogpow({},{})".format, _COEFF, st.floats(0.05, 1.5)),
+    st.builds("explogpow({},{})".format, _COEFF, st.floats(0.05, 3.0)),
+    st.builds("powerlog({},{},{})".format, _COEFF, st.floats(0.0, 2.5),
+              st.floats(-2.0, 2.0)),
+)
+_LEVEL = st.floats(min_value=-300.0, max_value=300.0).map(lambda e: 10.0 ** e)
+_HISTORY = st.one_of(st.builds("const({!r})".format, _LEVEL),
+                     st.builds("ramp({!r},{!r})".format, _LEVEL, _LEVEL))
+
+
+@settings(deadline=None)
+@given(f=st.one_of(st.just("zero"), _SHAPE), g=_SHAPE, psi=_HISTORY,
+       n=st.sampled_from([1, 2, 4, 8]), tau=st.floats(0.5, 2.0), horizon=st.floats(1.0, 50.0),
+       eps=st.sampled_from([0.1, 0.5, 0.9]))
+def test_envelope_never_raises(f, g, psi, n, tau, horizon, eps):
+    # every outcome is an exit code: PASS, FAIL, bad input or numeric failure
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["envelope", f"f={f}", f"g={g}", f"psi={psi}", f"N={n}",
+                     f"tau={tau!r}", f"horizon={horizon!r}", f"eps={eps!r}"])
+    assert code in (0, 1, 2, 3)
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +12,7 @@ from delaygrowth.errors import DomainError, HorizonExceeded, NumericError
 from delaygrowth.functionals import (
     INVERT_LOG_RANGE, INVERT_MAX_ITERS, FunctionalKind, GrowthFunctional,
     NestedLogProduct, default_ode_lower, diverges, evaluate, evaluate_many,
-    gain_time, invert, ode_time, sublinear_time, _bracket_exponent, _closed,
+    gain_time, invert, ode_time, _bracket_exponent, _closed,
     _evaluator,
 )
 
@@ -38,7 +38,7 @@ def test_superlinear_power_saturates():
 
 
 def test_sublinear_power():
-    F = sublinear_time(Power(2.0, 0.5))
+    F = ode_time(Power(2.0, 0.5), 1.0)
     assert evaluate(F, math.log(9.0)) == pytest.approx(2.0)       # sqrt(9) - 1
 
 
@@ -68,7 +68,7 @@ def test_square_log_exponent_erf_form():
 
 
 def test_nested_log_product_iterated_log_form():
-    phi = NestedLogProduct(3)
+    phi = NestedLogProduct()
     F = ode_time(phi, math.e)
 
     def log3(x):
@@ -157,7 +157,7 @@ def test_evaluate_many_handles_unsorted_and_empty():
     (ode_time(Constant(1.0), 1.0), 5.0),
     (ode_time(PowerLog(1.0, 1.0, 1.0), math.e), 50.0),
     (gain_time(Linear(2.0)), 40.0),
-    (ode_time(NestedLogProduct(2), 1.0), 200.0),
+    (ode_time(NestedLogProduct(), math.e), 200.0),
 ])
 def test_invert_round_trip(F, u0):
     y = evaluate(F, u0)
@@ -184,7 +184,7 @@ def test_invert_refuses_bounded_functionals():
 
 
 def test_invert_out_of_range_raises_horizon():
-    F = ode_time(NestedLogProduct(3), math.e)
+    F = ode_time(NestedLogProduct(), math.e)
     with pytest.raises(HorizonExceeded):
         invert(F, 10.0)
 
@@ -249,8 +249,7 @@ CLOSED_DIVERGING = [
     ode_time(PowerLog(1.0, 1.0, 1.0), math.e),
     ode_time(PowerLog(1.0, 1.0, 0.5), math.e),
     ode_time(PowerLog(1.0, 1.0, -2.0), 2.0),
-    ode_time(NestedLogProduct(3), math.e),
-    ode_time(NestedLogProduct(2), 1.0),
+    ode_time(NestedLogProduct(), math.e),
     gain_time(Linear(2.0)),
     gain_time(Power(0.5, 1.0)),
 ]
@@ -264,7 +263,7 @@ QUADRATURE_DIVERGING = [
     gain_time(LinTimesExpLogPow(1.0, 0.5)),
     gain_time(ExpLogPow(1.0, 0.5)),
     GrowthFunctional(FunctionalKind.GAIN_TIME, PowerLog(1.0, 2.0, 1.0), 2.0),
-    GrowthFunctional(FunctionalKind.GAIN_TIME, NestedLogProduct(3), math.e),
+    GrowthFunctional(FunctionalKind.GAIN_TIME, NestedLogProduct(), math.e),
 ]
 INVERT_YS = [1e-6, 1e-3, 0.1, 1.0, 3.7, 10.0, 100.0, 1e3, 1e5, 1e9]
 
@@ -276,7 +275,7 @@ def test_the_catalog_lists_are_what_they_say():
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.37, 5.0])
-@pytest.mark.parametrize("F", CLOSED_DIVERGING, ids=str)
+@pytest.mark.parametrize("F", CLOSED_DIVERGING, ids=GrowthFunctional.describe)
 def test_invert_matches_the_doubling_scan_on_closed_forms(F, scale):
     F = replace(F, scale=scale)
     for y in INVERT_YS:
@@ -287,7 +286,7 @@ def test_invert_matches_the_doubling_scan_on_closed_forms(F, scale):
 # points; the gain-time nested log is left out at 1e9, where the scan
 # integrates over a range of 2^32 for minutes
 @pytest.mark.parametrize("scale", [1.0, 5.0])
-@pytest.mark.parametrize("F", QUADRATURE_DIVERGING, ids=str)
+@pytest.mark.parametrize("F", QUADRATURE_DIVERGING, ids=GrowthFunctional.describe)
 def test_invert_matches_the_doubling_scan_on_quadrature(F, scale):
     F = replace(F, scale=scale)
     ys = [1e-6, 10.0] if isinstance(F.coeff, NestedLogProduct) else [1e-6, 10.0, 1e9]
@@ -358,7 +357,7 @@ def test_evaluate_many_is_evaluate_bit_for_bit_on_unsorted_quadrature(F, offsets
 
 @pytest.mark.parametrize("F", CLOSED_DIVERGING + [ode_time(Power(1.0, 2.0), 1.0),
                                                  ode_time(PowerLog(1.0, 3.0, 0.0), 2.0)],
-                         ids=str)
+                         ids=GrowthFunctional.describe)
 def test_the_functional_is_plus_zero_at_its_lower_reference(F):
     # a closed form written out at u = la gives -0.0 where its
     # denominator is negative (power above 1), so the lower reference is
@@ -369,7 +368,7 @@ def test_the_functional_is_plus_zero_at_its_lower_reference(F):
 
 
 @pytest.mark.parametrize("F", [ode_time(Constant(2.0), 2.0),
-                               ode_time(PowerLog(2.0, 0.5, -1.0), 3.0)], ids=str)
+                               ode_time(PowerLog(2.0, 0.5, -1.0), 3.0)], ids=GrowthFunctional.describe)
 @pytest.mark.parametrize("bad", [0.0, -math.inf, math.inf, math.nan])
 def test_evaluate_many_raises_what_evaluate_raises(F, bad):
     la = F.log_lower
@@ -389,7 +388,7 @@ def test_evaluate_many_raises_what_evaluate_raises(F, bad):
     (ode_time(Power(1.0, 0.5), 1.0), True),
     (ode_time(Power(1.0, 2.0), 1.0), False),
     (ode_time(LinTimesExpLogPow(1.0, 0.5), 1.0), False),
-    (ode_time(NestedLogProduct(3), math.e), True),
+    (ode_time(NestedLogProduct(), math.e), True),
     (gain_time(Constant(2.0)), True),
     (gain_time(Power(1.0, 3.0)), True),
     (GrowthFunctional(FunctionalKind.GAIN_TIME, PowerLog(1.0, 1.0, 2.0), 2.0), True),
@@ -397,7 +396,7 @@ def test_evaluate_many_raises_what_evaluate_raises(F, bad):
     (gain_time(LinTimesExpLogPow(1.0, 1.5)), False),
     (gain_time(ExpLogPow(1.0, 2.0)), False),
     (gain_time(ExpLogPow(1.0, 0.5)), True),
-    (GrowthFunctional(FunctionalKind.GAIN_TIME, NestedLogProduct(3), math.e), True),
+    (GrowthFunctional(FunctionalKind.GAIN_TIME, NestedLogProduct(), math.e), True),
 ])
 def test_divergence_rules(F, expected):
     assert diverges(F) is expected
@@ -419,8 +418,6 @@ def test_functional_validation():
         del gain_time_below_one
     with pytest.raises(DomainError):
         ode_time(Constant(1.0), 1.0, scale=0.0)
-    with pytest.raises(DomainError):
-        NestedLogProduct(0)
 
 
 def test_evaluate_rejects_arguments_below_lower():
@@ -431,10 +428,18 @@ def test_evaluate_rejects_arguments_below_lower():
         evaluate(F, math.inf)
 
 
+@dataclass(frozen=True)
+class FarDomainPower(Power):
+    """A power law defined only for x > e^2, past the default floor e."""
+
+    _MIN_LOG_ARG = 2.0
+
+
 def test_default_ode_lower():
     assert default_ode_lower(Constant(1.0), 1.0) == math.e
     assert default_ode_lower(Constant(1.0), 10.0) == 10.0
-    assert default_ode_lower(NestedLogProduct(4), 1.0) == math.exp(math.e) - 1.0
+    assert default_ode_lower(FarDomainPower(1.0, 0.5), 1.0) == math.exp(2.0)
+    assert default_ode_lower(FarDomainPower(1.0, 0.5), 10.0) == 10.0
 
 
 def test_describe_mentions_scale_only_when_set():
@@ -444,7 +449,7 @@ def test_describe_mentions_scale_only_when_set():
 
 
 def test_nested_log_product_shape():
-    phi = NestedLogProduct(3)
+    phi = NestedLogProduct()
     assert phi.domain_threshold == pytest.approx(math.e - 1.0)
     assert not phi.supports(math.log(math.e - 1.0))
     assert phi.supports(1.0)
@@ -452,8 +457,6 @@ def test_nested_log_product_shape():
     assert phi.value_log(math.log(x)) == pytest.approx(math.log(phi.value(x)), rel=1e-12)
     with pytest.raises(DomainError):
         phi.value(1.0)
-    # a single level is just 1 + x
-    assert NestedLogProduct(1).value(3.0) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
