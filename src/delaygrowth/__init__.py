@@ -27,7 +27,7 @@ from .functionals import (
 from .logdomain import LOG_CAP, log_add, log_scale
 from .simulator import (
     ConstantHistory, History, RampHistory, Scenario, SimulationError, Trajectory,
-    parse_history, simulate_euler, simulate_undelayed, write_trajectory_csv,
+    parse_history, simulate_euler, write_trajectory_csv,
 )
 
 __version__ = "0.1.0"
@@ -46,6 +46,6 @@ __all__ = [
     "evaluate", "evaluate_many", "format_prediction", "format_verification",
     "gain_time", "invert", "limit_probe", "log_add", "log_scale",
     "ode_time", "parse_coefficient", "parse_history", "predict",
-    "simulate_euler", "simulate_undelayed", "solve_char_eq", "sweep_h",
+    "simulate_euler", "solve_char_eq", "sweep_h",
     "verify_scenario", "write_trajectory_csv",
 ]

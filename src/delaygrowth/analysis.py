@@ -27,8 +27,8 @@ from typing import Callable, NamedTuple, Sequence
 
 from .coefficients import (
     CoefficientSpec, DEFAULT_PROBE_SCALES, Linear, LinTimesExpLogPow, LimitKind,
-    LimitVerdict, PowerLog, RegimeKind, Regime, Zero, _exp, classify_regime,
-    limit_probe,
+    LimitVerdict, PowerLog, RegimeKind, Regime, Zero, _exp, _positive,
+    classify_regime, limit_probe,
 )
 from .errors import DomainError, HorizonExceeded, NumericError
 from .functionals import (
@@ -100,10 +100,8 @@ class Prediction:
 
 def solve_char_eq(slope: float, tau: float) -> float:
     """The positive root of lambda = slope * exp(-lambda * tau)."""
-    if not (math.isfinite(slope) and slope > 0):
-        raise DomainError(f"slope must be positive and finite, got {slope!r}")
-    if not (math.isfinite(tau) and tau > 0):
-        raise DomainError(f"delay must be positive and finite, got {tau!r}")
+    _positive(slope, "slope")
+    _positive(tau, "delay")
     # bisect until no double lies strictly between the bounds: about
     # log2(slope / root) + 53 halvings, under 2,100 across the double range
     lo, hi = 0.0, slope
@@ -331,8 +329,7 @@ def verify_scenario(scenario: Scenario, tolerance: float = 0.05) -> Verification
     uses the continuous rate widened by 3 h lambda^2, the size of the
     first-order discretization shift of the characteristic root.
     """
-    if not (math.isfinite(tolerance) and tolerance > 0):
-        raise DomainError(f"tolerance must be positive, got {tolerance!r}")
+    _positive(tolerance, "tolerance")
     prediction = predict(scenario)
     if prediction.observable is Observable.FUNCTIONAL_OVER_T and prediction.functional is None:
         raise PredictionRefused(

@@ -37,19 +37,9 @@ from .simulator import (
     Scenario, parse_history, simulate_euler, write_trajectory_csv,
 )
 
-COMMANDS = ("simulate", "predict", "verify", "sweep", "chareq", "envelope")
-
 # every key a config file or override may set
 KNOWN_KEYS = ("command", "f", "g", "tau", "psi", "N", "horizon", "out", "tol",
               "eps", "C")
-
-USAGE = """\
-usage: delaygrowth CONFIG [KEY=VALUE ...]
-       delaygrowth COMMAND [KEY=VALUE ...]
-
-commands: simulate | predict | verify | sweep | chareq | envelope
-keys: f, g, tau, psi, N, horizon, out, tol, eps, C
-"""
 
 
 class ConfigError(Exception):
@@ -276,6 +266,12 @@ DISPATCH = {
     "chareq": cmd_chareq,
     "envelope": cmd_envelope,
 }
+COMMANDS = tuple(DISPATCH)
+
+USAGE = ("usage: delaygrowth CONFIG [KEY=VALUE ...]\n"
+         "       delaygrowth COMMAND [KEY=VALUE ...]\n\n"
+         f"commands: {' | '.join(COMMANDS)}\n"
+         f"keys: {', '.join(KNOWN_KEYS[1:])}\n")
 
 
 def main(argv: list[str] | None = None) -> int:

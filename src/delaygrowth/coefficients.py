@@ -180,8 +180,8 @@ class CoefficientSpec:
 
     @property
     def monotone_from(self) -> float:
-        """Scale beyond which the shape is nondecreasing."""
-        return 0.0
+        """Scale beyond which the shape is nondecreasing; by default ``domain_threshold``."""
+        return self.domain_threshold
 
     def regime(self) -> Regime:
         """The growth regime of this shape as a delayed term."""
@@ -335,10 +335,6 @@ class LinTimesExpLogPow(CoefficientSpec):
             raise DomainError(f"{self} is undefined at x = {x!r}")
         return self.coefficient * x * _exp(_pow(math.log(x), self.exponent))
 
-    @property
-    def monotone_from(self) -> float:
-        return 1.0
-
     def regime(self) -> Regime:
         if 0 < self.exponent < 1:
             return Regime(RegimeKind.RV1_SUPERLINEAR)
@@ -392,10 +388,6 @@ class ExpLogPow(CoefficientSpec):
         if x < 1.0:
             raise DomainError(f"{self} is undefined at x = {x!r}")
         return self.coefficient * _exp(_pow(math.log(x), self.exponent))
-
-    @property
-    def monotone_from(self) -> float:
-        return 1.0
 
     def regime(self) -> Regime:
         if self.exponent > 1:

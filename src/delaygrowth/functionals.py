@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import ClosedForm, CoefficientSpec, Zero, _exp
+from .coefficients import ClosedForm, CoefficientSpec, Zero, _exp, _positive
 from .errors import DomainError, HorizonExceeded, NumericError
 
 __all__ = [
@@ -100,10 +100,6 @@ class NestedLogProduct(CoefficientSpec):
     def domain_threshold(self) -> float:
         return math.exp(1.0) - 1.0
 
-    @property
-    def monotone_from(self) -> float:
-        return self.domain_threshold
-
     def __str__(self) -> str:
         return "nestedlog(3)"
 
@@ -129,15 +125,13 @@ class GrowthFunctional:
     def __post_init__(self):
         if isinstance(self.coeff, Zero):
             raise DomainError("a growth functional needs a nonvanishing shape")
-        if not (math.isfinite(self.lower) and self.lower > 0):
-            raise DomainError(f"lower reference must be positive and finite, got {self.lower!r}")
+        _positive(self.lower, "lower reference")
         if self.kind is FunctionalKind.GAIN_TIME and self.lower < 1.0:
             raise DomainError("gain-time functionals start at 1 or above")
         if not self.coeff.supports(math.log(self.lower)):
             raise DomainError(
                 f"lower reference {self.lower!r} lies outside the domain of {self.coeff}")
-        if not (math.isfinite(self.scale) and self.scale > 0):
-            raise DomainError(f"scale must be positive and finite, got {self.scale!r}")
+        _positive(self.scale, "scale")
 
     @property
     def log_lower(self) -> float:

@@ -21,9 +21,6 @@ inputs drawn from [0, 700] they differed from the math module on 60 for
 ``log`` up to 26,750 for ``**1.7``), so only the shapes affine in log x
 (const, power, linear) evaluate g on an array, and the others map their
 scalar formula over the window.
-
-``simulate_undelayed`` iterates the pure recursion y[k+1] = y[k] + g(y[k])
-that the delayed dynamics shadow in the superlinear regimes.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from typing import IO
 
 import numpy as np
 
-from .coefficients import CoefficientSpec, Zero, classify_regime, RegimeKind, _positive
+from .coefficients import CoefficientSpec, Zero, _positive
 from .errors import DomainError, HorizonExceeded, NumericError
 from .functionals import GrowthFunctional, evaluate_many
 from .logdomain import LOG_CAP, log_add, log_scale
@@ -51,8 +48,7 @@ WINDOW_MIN_STEPS = 4
 __all__ = [
     "History", "ConstantHistory", "RampHistory", "parse_history",
     "Scenario", "Trajectory", "SimulationError",
-    "simulate_euler",
-    "UndelayedRun", "simulate_undelayed", "write_trajectory_csv",
+    "simulate_euler", "write_trajectory_csv",
 ]
 
 
@@ -287,48 +283,6 @@ def _step_windows(scenario: Scenario, states: list[float]) -> bool:
                 return True
             states.extend(block[1:].tolist())
     return False
-
-
-_UNDELAYED_KINDS = (RegimeKind.RV1_SUPERLINEAR, RegimeKind.POLY_SUPERLINEAR,
-                    RegimeKind.FASTER_THAN_POLY)
-
-
-@dataclass(frozen=True)
-class UndelayedRun:
-    """States of the pure recursion y[k+1] = y[k] + g(y[k])."""
-
-    log_states: tuple[float, ...]
-    truncated: bool
-
-    fingerprint = Trajectory.fingerprint
-
-
-def simulate_undelayed(g: CoefficientSpec, start: float, n_steps: int) -> UndelayedRun:
-    """Iterate y <- y + g(y) from ``start`` for up to ``n_steps`` steps.
-
-    Only meaningful for superlinear delayed terms, where each step at
-    least multiplies the state by a growing factor; other regimes are
-    refused because the delayed dynamics do not reduce to this recursion.
-    """
-    if classify_regime(g).kind not in _UNDELAYED_KINDS:
-        raise DomainError(
-            f"the undelayed recursion needs a superlinear delayed term, not {g}")
-    _positive(start, "start value")
-    if not isinstance(n_steps, int) or n_steps < 0:
-        raise DomainError(f"step count must be a nonnegative integer, got {n_steps!r}")
-    if not g.supports(math.log(start)):
-        raise DomainError(f"start value {start!r} lies outside the domain of {g}")
-    y = math.log(start)
-    states = [y]
-    truncated = False
-    for _ in range(n_steps):
-        try:
-            y = log_add(y, g.value_log(y))
-        except HorizonExceeded:
-            truncated = True
-            break
-        states.append(y)
-    return UndelayedRun(log_states=tuple(states), truncated=truncated)
 
 
 def write_trajectory_csv(trajectory: Trajectory, target: IO[str],

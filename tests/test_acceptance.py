@@ -16,14 +16,14 @@ import pytest
 from delaygrowth import (
     ConstantHistory, ExpLogPow, Linear, LinTimesExpLogPow, NestedLogProduct,
     Observable, Power, PowerLog, Scenario, Zero, envelope_check, estimate_rate,
-    evaluate, gain_time, ode_time, predict, simulate_euler, simulate_undelayed,
-    sweep_h,
+    evaluate, gain_time, ode_time, predict, simulate_euler, sweep_h,
 )
 from delaygrowth.analysis import EstimateStatus
 from delaygrowth.cli import main as cli_main
 from delaygrowth.functionals import (
     QUAD_ABS_TOL, QUAD_REL_TOL, _adaptive, _integrand,
 )
+from undelayed import undelayed_log_states
 
 LAMBDA_UNIT = 0.5671432904097838   # bisection oracle, agrees with lambertw(1)
 LOG2 = math.log(2.0)
@@ -112,10 +112,10 @@ def test_06_undelayed_window_count_per_step():
     # far below float rounding once n >= 40.  The advance is 1 only for
     # shapes just past linear; that case is checked by
     # test_analysis.py::test_undelayed_window_count_for_a_near_linear_shape
-    run = simulate_undelayed(Power(1.0, 2.0), 2.0, 60)
+    states, truncated = undelayed_log_states(Power(1.0, 2.0), 2.0, 60)
     counter = gain_time(Power(1.0, 2.0))
-    assert run.truncated is False and len(run.log_states) == 61
-    counts = [evaluate(counter, u) for u in run.log_states]
+    assert truncated is False and len(states) == 61
+    counts = [evaluate(counter, u) for u in states]
     # Power(1, 2) has no closed gain, so each G(y_n) carries at most the
     # quadrature budget at G(y_60); a difference of two carries twice that
     tol = 2.0 * (QUAD_REL_TOL * counts[60] + QUAD_ABS_TOL)
@@ -123,7 +123,7 @@ def test_06_undelayed_window_count_per_step():
     worst = max(abs(counts[n + 1] - counts[n] - LOG2) for n in steps)
     # the states alone, without the functional: log log y gains log 2
     # up to float rounding
-    logs = [math.log(u) for u in run.log_states]
+    logs = [math.log(u) for u in states]
     worst_states = max(abs(logs[n + 1] - logs[n] - LOG2) for n in steps)
     ratios = [counts[n] / n for n in range(40, 61)]
     ok = worst <= tol and worst_states <= 1e-12

@@ -84,9 +84,17 @@ def test_unknown_names_are_rejected():
         load_config(["simulate", "justaword"])
 
 
-def test_no_arguments_prints_usage():
-    with pytest.raises(ConfigError, match="usage:"):
-        load_config([])
+def test_no_arguments_prints_usage(capsys):
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == """\
+error: usage: delaygrowth CONFIG [KEY=VALUE ...]
+       delaygrowth COMMAND [KEY=VALUE ...]
+
+commands: simulate | predict | verify | sweep | chareq | envelope
+keys: f, g, tau, psi, N, horizon, out, tol, eps, C
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +239,8 @@ _PREDICT = ["predict", "tau=1", "N=4", "horizon=10"]
     (["g=const(1)", "psi=ramp(1,nan)"],
      "history end must be positive and finite, got nan"),
     (["g=const(1)", "speed=9"], "override 'speed=9': unknown key 'speed'"),
+    (["g=const(1)", "command=nope"], "unknown command 'nope'; choose from "
+                                     "simulate, predict, verify, sweep, chareq, envelope"),
 ])
 def test_rejected_input_gives_the_exact_message(args, message, capsys):
     assert main(_PREDICT + ["psi=const(1)"] + args) == 2
@@ -262,6 +272,17 @@ def test_a_step_count_beyond_the_index_range_exits_2(tau, capsys):
                  "N=4", "horizon=1"])
     assert code == 2
     assert "a run counts at most" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_verify_rejects_a_nonpositive_or_non_finite_tolerance(tol, capsys):
+    code = main(["verify", "g=power(1,0.5)", "tau=1", "psi=const(1)",
+                 "N=4", "horizon=50", f"tol={tol}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: tolerance must be positive and finite, "
+                            f"got {float(tol)!r}\n")
 
 
 @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])

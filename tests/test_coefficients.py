@@ -9,6 +9,7 @@ from delaygrowth.coefficients import (
     Regime, RegimeKind, Zero, classify_regime, limit_probe, parse_coefficient,
 )
 from delaygrowth.errors import DomainError
+from delaygrowth.functionals import NestedLogProduct
 
 params = st.floats(min_value=0.1, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -66,8 +67,13 @@ def test_domain_threshold():
 
 
 def test_monotone_from():
+    assert Zero().monotone_from == 0.0
+    assert Constant(3.0).monotone_from == 0.0
+    assert Linear(2.0).monotone_from == 0.0
     assert Power(1.0, 2.0).monotone_from == 0.0
     assert LinTimesExpLogPow(1.0, 0.5).monotone_from == 1.0
+    assert ExpLogPow(1.0, 2.0).monotone_from == 1.0
+    assert NestedLogProduct().monotone_from == math.e - 1.0
     # x (log x)^-2 dips before log x = 2
     assert PowerLog(1.0, 1.0, -2.0).monotone_from == pytest.approx(math.exp(2.0))
     assert PowerLog(1.0, 1.0, 1.0).monotone_from == 1.0

@@ -3,13 +3,15 @@
 import hashlib
 import json
 import pathlib
+import types
 
 import pytest
 
 from delaygrowth import analysis, cli
 from delaygrowth.cli import main
 from delaygrowth.coefficients import Power
-from delaygrowth.simulator import simulate_euler, simulate_undelayed
+from delaygrowth.simulator import Trajectory, simulate_euler
+from undelayed import undelayed_log_states
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -111,5 +113,6 @@ def test_out_files_match_the_reference_bytes(config, tmp_path, capsys):
 
 
 def test_undelayed_run_matches_its_golden_fingerprint():
-    run = simulate_undelayed(Power(1.0, 2.0), 2.0, 60)
-    assert run.fingerprint() == "1f9723fd89b36aa2"
+    states, truncated = undelayed_log_states(Power(1.0, 2.0), 2.0, 60)
+    run = types.SimpleNamespace(log_states=states, truncated=truncated)
+    assert Trajectory.fingerprint(run) == "1f9723fd89b36aa2"

@@ -15,9 +15,9 @@ from delaygrowth.functionals import ode_time
 from delaygrowth.logdomain import LOG_CAP
 from delaygrowth.simulator import (
     ConstantHistory, RampHistory, Scenario, SimulationError, Trajectory,
-    parse_history, simulate_euler,
-    simulate_undelayed, write_trajectory_csv, _step_singly, _step_windows,
+    parse_history, simulate_euler, write_trajectory_csv, _step_singly, _step_windows,
 )
+from undelayed import undelayed_log_states
 
 
 def scenario(**kw):
@@ -305,31 +305,19 @@ def test_fingerprints_are_stable_and_distinguishing():
 # the undelayed recursion
 
 def test_undelayed_recursion_squares_through_known_values():
-    run = simulate_undelayed(Power(1.0, 2.0), 2.0, 4)
+    states, truncated = undelayed_log_states(Power(1.0, 2.0), 2.0, 4)
     expected = [2.0, 6.0, 42.0, 1806.0, 1806.0 * 1807.0]
-    assert len(run.log_states) == 5
-    for v, e in zip(run.log_states, expected):
+    assert len(states) == 5
+    for v, e in zip(states, expected):
         assert math.exp(v) == pytest.approx(e, rel=1e-9)
-    assert not run.truncated
+    assert not truncated
 
 
 def test_undelayed_recursion_truncates_instead_of_overflowing():
     # squaring doubles the log value: the cap arrives near step 1016
-    run = simulate_undelayed(Power(1.0, 2.0), 1e100, 1100)
-    assert run.truncated
-    assert len(run.log_states) < 1101
-
-
-def test_undelayed_recursion_requires_superlinear_terms():
-    with pytest.raises(DomainError):
-        simulate_undelayed(Linear(2.0), 2.0, 5)
-    with pytest.raises(DomainError):
-        simulate_undelayed(Constant(1.0), 2.0, 5)
-    with pytest.raises(DomainError):
-        simulate_undelayed(Power(1.0, 2.0), -1.0, 5)
-    with pytest.raises(DomainError):
-        simulate_undelayed(PowerLog(1.0, 2.0, 1.0), 1.0, 5)   # domain needs x > 1
-    simulate_undelayed(LinTimesExpLogPow(1.0, 0.5), 1.0, 3)   # rv1 shapes qualify
+    states, truncated = undelayed_log_states(Power(1.0, 2.0), 1e100, 1100)
+    assert truncated
+    assert len(states) < 1101
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +335,16 @@ def test_parse_history_accepts_the_documented_forms():
 def test_parse_history_rejects_malformed_input(text):
     with pytest.raises(DomainError):
         parse_history(text)
+
+
+positive_finite = st.floats(min_value=5e-324, allow_infinity=False)
+
+
+@given(st.one_of(st.builds(ConstantHistory, positive_finite),
+                 st.builds(RampHistory, positive_finite, positive_finite)))
+def test_history_text_round_trips(history):
+    # the CLI echoes str(history), so its text must parse back to the same floats
+    assert parse_history(str(history)) == history
 
 
 def test_ramp_endpoints_are_exact():
