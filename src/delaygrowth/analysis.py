@@ -307,6 +307,14 @@ def estimate_rate(trajectory: Trajectory, observable: Observable,
                         warmup=warmup, tail=tail)
 
 
+def _require_observable(prediction: Prediction, g: CoefficientSpec) -> None:
+    """Refuse, before any simulation, a prediction whose observable cannot be read."""
+    if prediction.observable is Observable.FUNCTIONAL_OVER_T and prediction.functional is None:
+        raise PredictionRefused(
+            f"no usable functional to verify the {prediction.regime.kind.value} "
+            f"rate for {g}")
+
+
 # ---------------------------------------------------------------------------
 # one-scenario verification
 
@@ -331,10 +339,7 @@ def verify_scenario(scenario: Scenario, tolerance: float = 0.05) -> Verification
     """
     _positive(tolerance, "tolerance")
     prediction = predict(scenario)
-    if prediction.observable is Observable.FUNCTIONAL_OVER_T and prediction.functional is None:
-        raise PredictionRefused(
-            f"no usable functional to verify the {prediction.regime.kind.value} "
-            f"rate for {scenario.g}")
+    _require_observable(prediction, scenario.g)
     trajectory = simulate_euler(scenario)
     estimate = estimate_rate(trajectory, prediction.observable, prediction.functional)
     h = scenario.h
@@ -566,6 +571,7 @@ def sweep_h(f: CoefficientSpec, g: CoefficientSpec, tau: float, history,
                           history=history, horizon=horizon)
                  for n in sorted(set(values))]
     prediction = predict(scenarios[0])
+    _require_observable(prediction, g)
     points = []
     for sc in scenarios:
         trajectory = simulate_euler(sc)

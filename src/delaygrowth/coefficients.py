@@ -12,6 +12,12 @@ config files:
     zero | const(c) | power(c,beta) | linear(C) | xexplogpow(c,alpha)
          | explogpow(c,alpha) | powerlog(c,beta,gamma)
 
+That ``name(p1,p2,...)`` syntax has one private reader and one writer
+here, driven by a table from name to class (one parameter per init field
+of the class): ``_SHAPES`` for the shapes, and ``simulator._HISTORIES``
+for the history segments, which share the reader, the writer and the
+table pattern.  ``str`` of a tabled shape or history is its parsable text.
+
 ``const(c)`` and ``linear(C)`` are ``power`` with the exponent fixed at 0
 and 1: they differ from it only in their syntax and error messages.
 
@@ -207,6 +213,9 @@ class CoefficientSpec:
         """u -> integral of 1 / log1p(F(e^w) / e^w) over [la, u], or None."""
         return None
 
+    def __str__(self) -> str:
+        return _format_call(self, _SHAPES)
+
 
 @dataclass(frozen=True)
 class Zero(CoefficientSpec):
@@ -225,9 +234,6 @@ class Zero(CoefficientSpec):
 
     def reciprocal_diverges(self) -> bool:
         raise DomainError("reciprocal of the zero shape is undefined")
-
-    def __str__(self) -> str:
-        return "zero"
 
 
 @dataclass(frozen=True)
@@ -280,9 +286,6 @@ class Power(CoefficientSpec):
             return lambda u: (u - la) / rate
         return None
 
-    def __str__(self) -> str:
-        return f"power({self.coefficient!r},{self.exponent!r})"
-
 
 @dataclass(frozen=True)
 class Constant(Power):
@@ -292,9 +295,6 @@ class Constant(Power):
 
     _LABEL = "const level"
 
-    def __str__(self) -> str:
-        return f"const({self.coefficient!r})"
-
 
 @dataclass(frozen=True)
 class Linear(Power):
@@ -303,9 +303,6 @@ class Linear(Power):
     exponent: float = field(default=1.0, init=False)
 
     _LABEL = "linear slope"
-
-    def __str__(self) -> str:
-        return f"linear({self.coefficient!r})"
 
 
 @dataclass(frozen=True)
@@ -359,9 +356,6 @@ class LinTimesExpLogPow(CoefficientSpec):
         front = math.gamma(a) * a
         return lambda u: front * (float(gammainc(a, _pow(u, alpha))) - lo) / c
 
-    def __str__(self) -> str:
-        return f"xexplogpow({self.coefficient!r},{self.exponent!r})"
-
 
 @dataclass(frozen=True)
 class ExpLogPow(CoefficientSpec):
@@ -407,9 +401,6 @@ class ExpLogPow(CoefficientSpec):
             lo = math.erf(la - 0.5)
             return lambda u: front * (math.erf(u - 0.5) - lo)
         return None
-
-    def __str__(self) -> str:
-        return f"explogpow({self.coefficient!r},{self.exponent!r})"
 
 
 @dataclass(frozen=True)
@@ -482,9 +473,6 @@ class PowerLog(CoefficientSpec):
             lo, ck = _pow(la, k), c * k
             return lambda u: (_pow(u, k) - lo) / ck
         return None
-
-    def __str__(self) -> str:
-        return f"powerlog({self.coefficient!r},{self.power!r},{self.log_power!r})"
 
 
 def classify_regime(g: CoefficientSpec) -> Regime:
@@ -578,14 +566,14 @@ _SHAPES: dict[str, type[CoefficientSpec]] = {
 }
 
 
-def parse_coefficient(text: str) -> CoefficientSpec:
-    """Parse the textual shape syntax (case-insensitive, decimal parameters)."""
+def _parse_call(text: str, table: dict[str, type], noun: str):
+    """Build the ``table`` entry that ``text`` names, case-insensitively."""
     m = _CALL_RE.match(text.strip().lower())
     if m is None:
-        raise DomainError(f"cannot parse coefficient {text!r}")
+        raise DomainError(f"cannot parse {noun} {text!r}")
     name, argstr = m.group(1), m.group(2)
-    if name not in _SHAPES:
-        raise DomainError(f"unknown coefficient shape {name!r}")
+    if name not in table:
+        raise DomainError(f"unknown {noun} shape {name!r}")
     args: list[float] = []
     if argstr:
         for tok in argstr.split(","):
@@ -593,8 +581,23 @@ def parse_coefficient(text: str) -> CoefficientSpec:
                 args.append(float(tok.strip()))
             except ValueError as exc:
                 raise DomainError(f"bad numeric parameter {tok.strip()!r} in {text!r}") from exc
-    shape = _SHAPES[name]
-    arity = sum(f.init for f in fields(shape))
+    cls = table[name]
+    arity = sum(f.init for f in fields(cls))
     if len(args) != arity:
         raise DomainError(f"{name} takes {arity} parameter(s), got {len(args)} in {text!r}")
-    return shape(*args)
+    return cls(*args)
+
+
+def _format_call(obj, table: dict[str, type]) -> str:
+    """``name(p1,p2,...)`` for an instance of a ``table`` class (bare ``name``
+    when it takes no parameters); repr for an instance of any other class."""
+    for name, cls in table.items():
+        if type(obj) is cls:
+            params = ",".join(repr(getattr(obj, f.name)) for f in fields(cls) if f.init)
+            return f"{name}({params})" if params else name
+    return repr(obj)
+
+
+def parse_coefficient(text: str) -> CoefficientSpec:
+    """Parse the textual shape syntax (case-insensitive, decimal parameters)."""
+    return _parse_call(text, _SHAPES, "coefficient")

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["DomainError", "NumericError", "HorizonExceeded"]
+
 
 class DomainError(ValueError):
     """An argument or parameter lies outside what a construction supports."""

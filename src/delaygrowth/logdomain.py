@@ -22,6 +22,8 @@ import math
 
 from .errors import DomainError, HorizonExceeded
 
+__all__ = ["LOG_CAP", "log_add", "log_scale"]
+
 # Largest admissible log value.  Doubles top out near 1.8e308; capping the
 # log value itself at 1e308 leaves headroom for downstream arithmetic.
 LOG_CAP = 1e308

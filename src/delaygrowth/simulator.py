@@ -28,14 +28,13 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import re
 import sys
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from .coefficients import CoefficientSpec, Zero, _positive
+from .coefficients import CoefficientSpec, Zero, _format_call, _parse_call, _positive
 from .errors import DomainError, HorizonExceeded, NumericError
 from .functionals import GrowthFunctional, evaluate_many
 from .logdomain import LOG_CAP, log_add, log_scale
@@ -66,6 +65,9 @@ class History:
     def at(self, fraction: float) -> float:
         raise NotImplementedError
 
+    def __str__(self) -> str:
+        return _format_call(self, _HISTORIES)
+
 
 @dataclass(frozen=True)
 class ConstantHistory(History):
@@ -76,9 +78,6 @@ class ConstantHistory(History):
 
     def at(self, fraction: float) -> float:
         return self.level
-
-    def __str__(self) -> str:
-        return f"const({self.level!r})"
 
 
 @dataclass(frozen=True)
@@ -95,33 +94,18 @@ class RampHistory(History):
     def at(self, fraction: float) -> float:
         return self.start * (1.0 - fraction) + self.end * fraction
 
-    def __str__(self) -> str:
-        return f"ramp({self.start!r},{self.end!r})"
 
-
-_HISTORY_RE = re.compile(r"^([a-z]+)\s*\(\s*(.*?)\s*\)$")
+# name -> history, read and written by the codec of the coefficient syntax
+_HISTORIES: dict[str, type[History]] = {"const": ConstantHistory, "ramp": RampHistory}
 
 
 def parse_history(text: str) -> History:
     """``const(v)``, ``ramp(a,b)``, or a bare positive number."""
-    stripped = text.strip().lower()
     try:
-        return ConstantHistory(float(stripped))
+        level = float(text)
     except ValueError:
-        pass
-    m = _HISTORY_RE.match(stripped)
-    if m is None:
-        raise DomainError(f"cannot parse history {text!r}")
-    name, argstr = m.group(1), m.group(2)
-    try:
-        args = [float(tok.strip()) for tok in argstr.split(",")] if argstr else []
-    except ValueError as exc:
-        raise DomainError(f"bad numeric parameter in history {text!r}") from exc
-    if name == "const" and len(args) == 1:
-        return ConstantHistory(args[0])
-    if name == "ramp" and len(args) == 2:
-        return RampHistory(args[0], args[1])
-    raise DomainError(f"cannot parse history {text!r}")
+        return _parse_call(text, _HISTORIES, "history")
+    return ConstantHistory(level)
 
 
 @dataclass(frozen=True)

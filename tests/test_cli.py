@@ -189,6 +189,20 @@ def test_sweep_to_stdout_is_pure_csv(capsys):
     assert all("," in line for line in lines)
 
 
+def test_sweep_refuses_an_unreadable_observable_before_simulating(monkeypatch, capsys):
+    def no_simulation(scenario):
+        raise AssertionError("sweep simulated before refusing")
+
+    monkeypatch.setattr("delaygrowth.analysis.simulate_euler", no_simulation)
+    code = main(["sweep", "g=powerlog(1,1,2)", "tau=1", "psi=const(3)",
+                 "N=2,4,8", "horizon=200"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no usable functional to verify the rv1-superlinear "
+                            "rate for powerlog(1.0,1.0,2.0)\n")
+
+
 def test_sweep_needs_three_distinct_grids(capsys):
     code = main(["sweep", "g=const(2)", "tau=1", "psi=const(1)",
                  "N=4,4,4", "horizon=200"])
@@ -235,9 +249,16 @@ _PREDICT = ["predict", "tau=1", "N=4", "horizon=10"]
     (["g=linear(0)"], "linear slope must be positive and finite, got 0.0"),
     (["g=linear(1,2)"], "linear takes 1 parameter(s), got 2 in 'linear(1,2)'"),
     (["g=power(1,nan)"], "power exponent must be nonnegative, got nan"),
-    (["g=const(1)", "psi=ramp(1,2,3)"], "cannot parse history 'ramp(1,2,3)'"),
+    (["g=const(1)", "psi=ramp(1,2,3)"], "ramp takes 2 parameter(s), got 3 in 'ramp(1,2,3)'"),
     (["g=const(1)", "psi=ramp(1,nan)"],
      "history end must be positive and finite, got nan"),
+    # histories share the shapes' reader, and with it their messages
+    (["g=const(1)", "psi=-1"], "history level must be positive and finite, got -1.0"),
+    (["g=const(1)", "psi=blah(1,2)"], "unknown history shape 'blah'"),
+    (["g=const(1)", "psi=ramp(x,1)"], "bad numeric parameter 'x' in 'ramp(x,1)'"),
+    (["g=const(1)", "psi=const"], "const takes 1 parameter(s), got 0 in 'const'"),
+    (["g=const(1)", "tau=abc"], "key 'tau': not a number: 'abc'"),
+    (["g=const(1)", "N=1.5"], "key 'N': not an integer: '1.5'"),
     (["g=const(1)", "speed=9"], "override 'speed=9': unknown key 'speed'"),
     (["g=const(1)", "command=nope"], "unknown command 'nope'; choose from "
                                      "simulate, predict, verify, sweep, chareq, envelope"),
@@ -255,6 +276,13 @@ def test_duplicate_config_key_gives_the_exact_message(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {path}:3: duplicate key 'tau'\n"
+
+
+def test_a_directory_as_config_exits_2(tmp_path, capsys):
+    assert main([str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read {tmp_path}: ")
 
 
 def test_non_ascii_config_exits_2(tmp_path, capsys):

@@ -14,7 +14,7 @@ from delaygrowth.errors import DomainError
 from delaygrowth.functionals import ode_time
 from delaygrowth.logdomain import LOG_CAP
 from delaygrowth.simulator import (
-    ConstantHistory, RampHistory, Scenario, SimulationError, Trajectory,
+    ConstantHistory, History, RampHistory, Scenario, SimulationError, Trajectory,
     parse_history, simulate_euler, write_trajectory_csv, _step_singly, _step_windows,
 )
 from undelayed import undelayed_log_states
@@ -337,6 +337,14 @@ def test_parse_history_rejects_malformed_input(text):
         parse_history(text)
 
 
+@pytest.mark.parametrize("text,level", [("-1", "-1.0"), ("0", "0.0"), ("nan", "nan"),
+                                        ("1e400", "inf")])
+def test_a_bare_number_history_reports_its_level(text, level):
+    with pytest.raises(DomainError) as err:
+        parse_history(text)
+    assert str(err.value) == f"history level must be positive and finite, got {level}"
+
+
 positive_finite = st.floats(min_value=5e-324, allow_infinity=False)
 
 
@@ -345,6 +353,20 @@ positive_finite = st.floats(min_value=5e-324, allow_infinity=False)
 def test_history_text_round_trips(history):
     # the CLI echoes str(history), so its text must parse back to the same floats
     assert parse_history(str(history)) == history
+
+
+@dataclass(frozen=True)
+class StepHistory(History):
+    level: float
+
+    def at(self, fraction: float) -> float:
+        return self.level
+
+
+def test_a_class_outside_the_name_tables_prints_its_repr():
+    # only a tabled name is a parsable text; anything else must not pose as one
+    assert str(StepHistory(2.0)) == "StepHistory(level=2.0)"
+    assert str(UndefinedPast(2.0)) == "UndefinedPast(bound=2.0)"
 
 
 def test_ramp_endpoints_are_exact():
