@@ -253,7 +253,7 @@ def _observable_values(trajectory: Trajectory, observable: Observable,
                        functional: GrowthFunctional | None,
                        ns: range) -> list[float]:
     offset = trajectory.n_start
-    states = list(trajectory.log_states[ns.start - offset:ns.stop - offset])
+    states = trajectory.log_states[ns.start - offset:ns.stop - offset].tolist()
     if observable is Observable.FUNCTIONAL_OVER_T:
         if functional is None:
             raise DomainError("this observable needs a growth functional")
@@ -509,8 +509,8 @@ def envelope_check(scenario: Scenario, eps: float) -> EnvelopeCheckResult:
     functional = params.functional
     slope = 1.0 + params.eps
     la = functional.log_lower
-    above = [(n, state) for n, state in zip(trajectory.indices(), trajectory.log_states)
-             if state >= la]
+    states = trajectory.log_states.tolist()
+    above = [(n, state) for n, state in zip(trajectory.indices(), states) if state >= la]
     values = evaluate_many(functional, [state for _, state in above])
     violations = tuple(n for (n, _), value in zip(above, values)
                        if not value < slope * trajectory.time(n) + params.offset)
@@ -523,13 +523,13 @@ def envelope_margins(trajectory: Trajectory, params: EnvelopeParams,
     """Samples (n, log x_n, log envelope_n); inf where the envelope overflows."""
     out = []
     slope = 1.0 + params.eps
-    for n in trajectory.indices():
+    for n, state in zip(trajectory.indices(), trajectory.log_states.tolist()):
         bound = slope * trajectory.time(n) + params.offset
         try:
             env_log = invert(params.functional, bound)
         except HorizonExceeded:
             env_log = math.inf
-        out.append((n, trajectory.state(n), env_log))
+        out.append((n, state, env_log))
     return out
 
 

@@ -8,7 +8,9 @@ update is
 with x on the history segment [-tau, 0] given by a history function.  All
 states are carried in the log domain; a run that outgrows the log cap is
 returned truncated rather than failing, since reaching the cap quickly is
-exactly what the fast regimes do.
+exactly what the fast regimes do.  A trajectory holds its states as one
+read-only float64 array; readers that format or compute with states take
+them as Python floats (``state(n)``, or one ``.tolist()`` of the array).
 
 When f is zero and N >= ``WINDOW_MIN_STEPS``, the run advances one delay
 window at a time (the method of steps): the N states after x[n] depend only
@@ -28,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from typing import IO
 
@@ -43,6 +44,16 @@ from .logdomain import LOG_CAP, log_add, log_scale
 # a fixed handful of numpy calls (measured: 1.4-1.7x the loop's time at N = 2,
 # even at N = 3, about 15% less at N = 4, for const, power and xexplogpow).
 WINDOW_MIN_STEPS = 4
+
+# Most forward steps one run may plan: 512 MiB of float64 states.
+MAX_STEPS = 2**26
+
+# The window kernel's first state buffer; it doubles as the run needs, up to
+# the planned length, so a run cut early by the cap holds little memory.
+_FIRST_BUFFER = 4096
+
+# Hashed ahead of the states, so a fingerprint names its own definition.
+_FINGERPRINT_TAG = b"delaygrowth trajectory float64-le v2\n"
 
 __all__ = [
     "History", "ConstantHistory", "RampHistory", "parse_history",
@@ -127,10 +138,10 @@ class Scenario:
             raise DomainError(
                 f"steps per delay must be a positive integer, got {self.steps_per_delay!r}")
         steps = self.horizon / self.h
-        if not steps <= sys.maxsize:
+        if not steps <= MAX_STEPS:
             raise DomainError(
                 f"horizon {self.horizon!r} takes {steps!r} steps of h = {self.h!r}; "
-                f"a run counts at most {sys.maxsize}")
+                f"a run counts at most {MAX_STEPS}")
         if isinstance(self.g, Zero):
             raise DomainError(
                 "the delayed term must be strictly positive; zero() is not")
@@ -167,13 +178,24 @@ class Scenario:
                 f"history {self.history}, horizon {self.horizon:g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Grid log-states from index -N (oldest history point) onwards."""
+    """Grid log-states from index -N (oldest history point) onwards.
+
+    ``log_states`` is a read-only float64 array: any float sequence given
+    is converted, and a float64 array given is taken over and made
+    read-only, not copied.  Trajectories compare by identity (``eq=False``);
+    ``fingerprint()`` compares their states.
+    """
 
     scenario: Scenario
-    log_states: tuple[float, ...]
+    log_states: np.ndarray
     truncated: bool
+
+    def __post_init__(self):
+        states = np.asarray(self.log_states, dtype=np.float64)
+        states.flags.writeable = False
+        object.__setattr__(self, "log_states", states)
 
     @property
     def h(self) -> float:
@@ -192,7 +214,7 @@ class Trajectory:
         """log x at grid index n."""
         if not self.n_start <= n <= self.forward_steps:
             raise DomainError(f"grid index {n} outside [{self.n_start}, {self.forward_steps}]")
-        return self.log_states[n - self.n_start]
+        return float(self.log_states[n - self.n_start])
 
     def time(self, n: int) -> float:
         return n * self.h
@@ -201,72 +223,91 @@ class Trajectory:
         return range(self.n_start, self.forward_steps + 1)
 
     def fingerprint(self) -> str:
-        """First 16 hex digits of the SHA-256 of the states and the truncation flag."""
-        payload = ",".join(map(repr, self.log_states))
-        payload += f";truncated={self.truncated}"
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        """First 16 hex digits of the SHA-256 of a version tag, the states as
+        little-endian float64 bytes and the truncation flag.
+
+        Equal fingerprints mean bit-identical runs, whose states also print
+        alike: repr round-trips every double but NaN, and states are never NaN.
+        """
+        digest = hashlib.sha256(_FINGERPRINT_TAG)
+        digest.update(np.ascontiguousarray(self.log_states, dtype="<f8"))
+        digest.update(b"truncated" if self.truncated else b"complete")
+        return digest.hexdigest()[:16]
 
 
 def simulate_euler(scenario: Scenario) -> Trajectory:
     """Run the recursion in the log domain up to the horizon or the cap."""
-    states = [math.log(v) for v in scenario.history_samples()]
-    if isinstance(scenario.f, Zero) and scenario.steps_per_delay >= WINDOW_MIN_STEPS:
-        truncated = _step_windows(scenario, states)
-    else:
-        truncated = _step_singly(scenario, states)
-    return Trajectory(scenario=scenario, log_states=tuple(states), truncated=truncated)
+    history = [math.log(v) for v in scenario.history_samples()]
+    windowed = isinstance(scenario.f, Zero) and scenario.steps_per_delay >= WINDOW_MIN_STEPS
+    states, truncated = (_step_windows if windowed else _step_singly)(scenario, history)
+    return Trajectory(scenario=scenario, log_states=states, truncated=truncated)
 
 
-def _step_singly(scenario: Scenario, states: list[float]) -> bool:
-    """Append states one Euler step at a time; True when the cap cut the run."""
+def _step_singly(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, bool]:
+    """The states after ``history``, one Euler step at a time, and whether
+    the cap cut the run."""
     n_delay = scenario.steps_per_delay
     h = scenario.h
     f_log, g_log = scenario.f.value_log, scenario.g.value_log
+    states = list(history)
+    truncated = False
     for _ in range(scenario.planned_steps()):
         current = states[-1]
         try:
             step = log_add(current, log_scale(f_log(current), h))
             step = log_add(step, log_scale(g_log(states[-1 - n_delay]), h))
         except HorizonExceeded:
-            return True
+            truncated = True
+            break
         if math.isnan(step):
             raise SimulationError(f"state became undefined after {len(states)} samples")
         states.append(step)
-    return False
+    return np.array(states), truncated
 
 
-def _step_windows(scenario: Scenario, states: list[float]) -> bool:
-    """Append states one delay window at a time (f must be zero).
+def _step_windows(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, bool]:
+    """The states after ``history``, one delay window at a time (f must be
+    zero), and whether the cap cut the run.
 
     The N steps after state n read only states n-N .. n, so a window is the
-    running log-sum of its seed x[n] and the terms log h + log g(x[k]).
-    No domain check is needed: states past t = 0 never fall below x[0],
-    and the scenario has checked every history point against g.
+    running log-sum of its seed x[n] and the terms log h + log g(x[k]),
+    computed in place in the state buffer.  No domain check is needed:
+    states past t = 0 never fall below x[0], and the scenario has checked
+    every history point against g.
     """
     n_delay = scenario.steps_per_delay
     log_h = math.log(scenario.h)
     log_terms = scenario.g.log_terms
-    full, rest = divmod(scenario.planned_steps(), n_delay)
+    planned = scenario.planned_steps()
+    full, rest = divmod(planned, n_delay)
     widths = itertools.chain(itertools.repeat(n_delay, full), [rest] if rest else [])
-    block = np.array(states)            # the last N+1 states
+    total = len(history) + planned
+    states = np.empty(min(total, max(_FIRST_BUFFER, len(history))))
+    filled = len(history)
+    states[:filled] = history
     # overflow and NaN are caught by the cap test below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for width in widths:
-            window = np.empty(width + 1)
-            window[0] = block[-1]
-            np.add(log_terms(block[:width]), log_h, out=window[1:])
-            block = np.logaddexp.accumulate(window)
+            if filled + width > len(states):
+                grown = np.empty(min(total, 2 * len(states)))
+                grown[:filled] = states[:filled]
+                states = grown
+            seed = filled - 1
+            window = states[seed:filled + width]
+            np.add(log_terms(states[seed - n_delay:seed - n_delay + width]), log_h,
+                   out=window[1:])
+            np.logaddexp.accumulate(window, out=window)
             # logaddexp never decreases, so a NaN or a state over the cap
             # anywhere in the window leaves the last state failing this test
-            if not block[-1] <= LOG_CAP:
-                bad = int(np.argmin(block <= LOG_CAP))
-                if math.isnan(block[bad]):
+            if not window[-1] <= LOG_CAP:
+                bad = int(np.argmin(window <= LOG_CAP))
+                if math.isnan(window[bad]):
                     raise SimulationError(
-                        f"state became undefined after {len(states) + bad - 1} samples")
-                states.extend(block[1:bad].tolist())
-                return True
-            states.extend(block[1:].tolist())
-    return False
+                        f"state became undefined after {filled + bad - 1} samples")
+                # keep only what was taken, not the rest of the buffer
+                return states[:filled + bad - 1].copy(), True
+            filled += width
+    return states, False
 
 
 def write_trajectory_csv(trajectory: Trajectory, target: IO[str],
@@ -279,17 +320,19 @@ def write_trajectory_csv(trajectory: Trajectory, target: IO[str],
     otherwise.  Floats are written with repr, so files round-trip exactly
     and identical runs produce identical bytes.
     """
+    states = trajectory.log_states.tolist()
     values: dict[int, float] = {}
     if functional is not None:
-        eligible = [n for n in trajectory.indices()
-                    if n > 0 and trajectory.state(n) >= functional.log_lower]
-        results = evaluate_many(functional, [trajectory.state(n) for n in eligible])
-        values = dict(zip(eligible, results))
+        eligible = [(n, state) for n, state in zip(trajectory.indices(), states)
+                    if n > 0 and state >= functional.log_lower]
+        results = evaluate_many(functional, [state for _, state in eligible])
+        values = {n: value for (n, _), value in zip(eligible, results)}
 
+    h = trajectory.h
     target.write("n,t,log_x,functional,ratio\n")
-    for n in trajectory.indices():
-        t = trajectory.time(n)
-        parts = [str(n), repr(t), repr(trajectory.state(n))]
+    for n, state in zip(trajectory.indices(), states):
+        t = n * h
+        parts = [str(n), repr(t), repr(state)]
         if n in values:
             parts.append(repr(values[n]))
             parts.append(repr(values[n] / t))

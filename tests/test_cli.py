@@ -302,6 +302,21 @@ def test_a_step_count_beyond_the_index_range_exits_2(tau, capsys):
     assert "a run counts at most" in capsys.readouterr().err
 
 
+def test_a_run_beyond_the_state_budget_exits_2_before_simulating(monkeypatch, capsys):
+    # 4e9 steps never reach the log cap in the linear regime; 8 bytes each
+    # would take 32 GB
+    def no_simulation(scenario):
+        raise AssertionError("simulated past the state budget")
+
+    monkeypatch.setattr("delaygrowth.analysis.simulate_euler", no_simulation)
+    code = main(["verify", "g=linear(1)", "tau=1", "psi=const(1)", "N=4", "horizon=1e9"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: horizon 1000000000.0 takes 4000000000.0 steps of "
+                            "h = 0.25; a run counts at most 67108864\n")
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_verify_rejects_a_nonpositive_or_non_finite_tolerance(tol, capsys):
     code = main(["verify", "g=power(1,0.5)", "tau=1", "psi=const(1)",

@@ -3,6 +3,7 @@ import math
 import tracemalloc
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +15,7 @@ from delaygrowth.errors import DomainError
 from delaygrowth.functionals import ode_time
 from delaygrowth.logdomain import LOG_CAP
 from delaygrowth.simulator import (
-    ConstantHistory, History, RampHistory, Scenario, SimulationError, Trajectory,
+    MAX_STEPS, ConstantHistory, History, RampHistory, Scenario, SimulationError, Trajectory,
     parse_history, simulate_euler, write_trajectory_csv, _step_singly, _step_windows,
 )
 from undelayed import undelayed_log_states
@@ -124,9 +125,8 @@ def test_direct_route_truncates_at_its_cap():
 # the window kernel (f = 0) against the per-step loop
 
 def run_with(stepper, sc):
-    states = [math.log(v) for v in sc.history_samples()]
-    truncated = stepper(sc, states)
-    return [v.hex() for v in states], truncated
+    states, truncated = stepper(sc, [math.log(v) for v in sc.history_samples()])
+    return [v.hex() for v in states.tolist()], truncated
 
 
 _COEF = st.floats(0.1, 5.0)
@@ -158,8 +158,9 @@ def test_window_kernel_matches_the_step_loop_bit_for_bit(sc):
     kernel = run_with(_step_windows, sc)
     assert kernel == run_with(_step_singly, sc)
     traj = simulate_euler(sc)
-    assert ([v.hex() for v in traj.log_states], traj.truncated) == kernel
-    assert all(type(v) is float for v in traj.log_states)
+    assert ([v.hex() for v in traj.log_states.tolist()], traj.truncated) == kernel
+    assert traj.log_states.dtype == np.float64
+    assert all(type(traj.state(n)) is float for n in traj.indices())
 
 
 @pytest.mark.parametrize("kw", [
@@ -215,6 +216,22 @@ def test_window_memory_follows_the_steps_taken():
     assert peak < 1_000_000
 
 
+def test_window_memory_follows_the_steps_taken_past_the_first_buffer():
+    # log x about doubles per delay window, so the cap cuts 8e6 planned steps
+    # after 9,216: the state buffer grows, but never towards the horizon
+    sc = scenario(g=Power(1.0, 2.0), steps_per_delay=8, history=ConstantHistory(2.0),
+                  horizon=1e6)
+    tracemalloc.start()
+    try:
+        traj = simulate_euler(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.truncated
+    assert len(traj.log_states) == 9225
+    assert peak < 1_000_000
+
+
 # ---------------------------------------------------------------------------
 # scenario validation
 
@@ -243,6 +260,14 @@ def test_scenario_checks_domains_against_the_history():
     assert sc.history_min() == 0.5
     with pytest.raises(DomainError):
         scenario(f=PowerLog(1.0, 1.0, 1.0), g=Linear(1.0))
+
+
+def test_a_scenario_of_exactly_the_state_budget_constructs():
+    # constructed only: running it would store 512 MiB of states
+    sc = scenario(steps_per_delay=1, horizon=float(MAX_STEPS))
+    assert sc.planned_steps() == MAX_STEPS == 2**26
+    with pytest.raises(DomainError, match="a run counts at most 67108864"):
+        scenario(steps_per_delay=1, horizon=float(MAX_STEPS + 1))
 
 
 def test_planned_steps_handles_inexact_horizons():
@@ -299,6 +324,36 @@ def test_fingerprints_are_stable_and_distinguishing():
     assert a1.fingerprint() == a2.fingerprint()
     assert a1.fingerprint() != b.fingerprint()
     assert len(a1.fingerprint()) == 16
+
+
+def test_fingerprint_moves_with_the_last_bit_of_any_state_and_with_the_flag():
+    traj = simulate_euler(scenario())
+    base = traj.fingerprint()
+    for k in (0, len(traj.log_states) // 2, len(traj.log_states) - 1):
+        states = traj.log_states.copy()
+        states.view(np.uint64)[k] ^= 1
+        flipped = Trajectory(scenario=traj.scenario, log_states=states, truncated=False)
+        assert flipped.fingerprint() != base
+    flagged = Trajectory(scenario=traj.scenario, log_states=traj.log_states, truncated=True)
+    assert flagged.fingerprint() != base
+
+
+def test_a_tuple_a_list_and_an_array_of_states_fingerprint_alike():
+    states = [math.log(v) for v in (1.0, 1.5, 2.25, 1e300)] + [5e-324, -0.0, 700.5]
+    sc = scenario()
+    prints = {Trajectory(scenario=sc, log_states=given_as, truncated=False).fingerprint()
+              for given_as in (tuple(states), states, np.array(states))}
+    assert len(prints) == 1
+
+
+def test_trajectory_states_are_a_read_only_float_array():
+    traj = simulate_euler(scenario())
+    assert traj.log_states.dtype == np.float64
+    with pytest.raises(ValueError):
+        traj.log_states[0] = 1.0
+    built = Trajectory(scenario=scenario(), log_states=np.zeros(3), truncated=False)
+    with pytest.raises(ValueError):
+        built.log_states[0] = 1.0
 
 
 # ---------------------------------------------------------------------------
