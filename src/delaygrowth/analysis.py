@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import statistics
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
@@ -109,7 +110,13 @@ def solve_char_eq(slope: float, tau: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return mid
-        residual = mid - slope * math.exp(-mid * tau)
+        decay = math.exp(-mid * tau)
+        if decay < sys.float_info.min:
+            # subnormal or zero, so slope * decay has lost its digits:
+            # take the sign from the logs of the two sides instead
+            residual = math.log(mid) + mid * tau - math.log(slope)
+        else:
+            residual = mid - slope * decay
         if residual == 0.0:
             return mid
         if residual < 0.0:

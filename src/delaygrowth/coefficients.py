@@ -4,10 +4,12 @@ A scenario's instantaneous term f and delayed term g are each drawn from a
 small closed family.  Every shape knows how to evaluate itself analytically
 in the log domain: given u = log x it returns log F(x) directly, so states
 of any magnitude cost one float expression; ``log_terms`` does the same
-for an array of u, bit for bit.  Shapes also expose their
-domain threshold (the scale above which they are positive and continuous),
-the scale beyond which they are nondecreasing, and a textual syntax used by
-config files:
+for an array of u, bit for bit.  A shape has no direct float value F(x):
+the test suite checks each shape's mathematics against a symbolic table
+of F(x), written independently of the formulas here.  Shapes also expose
+their domain threshold (the scale above which they are positive and
+continuous), the scale beyond which they are nondecreasing, and a textual
+syntax used by config files:
 
     zero | const(c) | power(c,beta) | linear(C) | xexplogpow(c,alpha)
          | explogpow(c,alpha) | powerlog(c,beta,gamma)
@@ -55,12 +57,15 @@ __all__ = [
 
 
 def _pow(base: float, exponent: float) -> float:
-    """Float power saturating to inf instead of raising on overflow."""
+    """Float power saturating to inf instead of raising on overflow.
+
+    Every caller passes a positive exponent, or a base inside a shape's
+    domain (u > 0 for ``powerlog``, which growth functionals check before
+    building a closed form), so ``0.0 ** negative`` cannot arise.
+    """
     try:
         return base ** exponent
     except OverflowError:
-        return math.inf
-    except ZeroDivisionError:  # 0.0 ** negative
         return math.inf
 
 
@@ -141,9 +146,9 @@ class CoefficientSpec:
 
     Subclasses set ``_MIN_LOG_ARG`` (log of the smallest admissible
     argument) and ``_MIN_INCLUSIVE`` (whether that bound itself is
-    admissible), implement ``log_term`` / ``value`` and the two divergence
-    rules, and override ``regime`` and the closed forms where they have
-    them.
+    admissible), implement ``log_term`` and the two divergence rules, and
+    override ``regime`` and the closed forms where they have them.  There
+    is no direct float value: F(x) itself is never needed, only log F.
     """
 
     _MIN_LOG_ARG = -math.inf
@@ -160,10 +165,6 @@ class CoefficientSpec:
         module's, so the other shapes keep the scalar formula.
         """
         return np.array([self.log_term(u) for u in us.tolist()])
-
-    def value(self, x: float) -> float:
-        """Direct float evaluation, for cross-checks against the log domain."""
-        raise NotImplementedError
 
     def supports(self, u: float) -> bool:
         """Whether log x = u lies in this shape's domain."""
@@ -226,9 +227,6 @@ class Zero(CoefficientSpec):
     def log_term(self, u: float) -> float:
         return -math.inf
 
-    def value(self, x: float) -> float:
-        return 0.0
-
     def regime(self) -> Regime:
         raise DomainError("the delayed term must not vanish identically")
 
@@ -260,9 +258,6 @@ class Power(CoefficientSpec):
 
     def log_terms(self, us: np.ndarray) -> np.ndarray:
         return math.log(self.coefficient) + self.exponent * us
-
-    def value(self, x: float) -> float:
-        return self.coefficient * _pow(x, self.exponent)
 
     def regime(self) -> Regime:
         if self.exponent < 1:
@@ -327,11 +322,6 @@ class LinTimesExpLogPow(CoefficientSpec):
     def log_term(self, u: float) -> float:
         return math.log(self.coefficient) + u + _pow(u, self.exponent)
 
-    def value(self, x: float) -> float:
-        if x < 1.0:
-            raise DomainError(f"{self} is undefined at x = {x!r}")
-        return self.coefficient * x * _exp(_pow(math.log(x), self.exponent))
-
     def regime(self) -> Regime:
         if 0 < self.exponent < 1:
             return Regime(RegimeKind.RV1_SUPERLINEAR)
@@ -377,11 +367,6 @@ class ExpLogPow(CoefficientSpec):
 
     def log_term(self, u: float) -> float:
         return math.log(self.coefficient) + _pow(u, self.exponent)
-
-    def value(self, x: float) -> float:
-        if x < 1.0:
-            raise DomainError(f"{self} is undefined at x = {x!r}")
-        return self.coefficient * _exp(_pow(math.log(x), self.exponent))
 
     def regime(self) -> Regime:
         if self.exponent > 1:
@@ -429,11 +414,6 @@ class PowerLog(CoefficientSpec):
     def log_term(self, u: float) -> float:
         return (math.log(self.coefficient) + self.power * u
                 + self.log_power * math.log(u))
-
-    def value(self, x: float) -> float:
-        if x <= 1.0:
-            raise DomainError(f"{self} is undefined at x = {x!r}")
-        return self.coefficient * _pow(x, self.power) * _pow(math.log(x), self.log_power)
 
     @property
     def monotone_from(self) -> float:

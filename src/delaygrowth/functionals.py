@@ -90,12 +90,6 @@ class NestedLogProduct(CoefficientSpec):
         lo = self._chain(la)[2]
         return lambda u: self._chain(u)[2] - lo
 
-    def value(self, x: float) -> float:
-        if x <= self.domain_threshold:
-            raise DomainError(f"{self} is undefined at x = {x!r}")
-        log1 = math.log(1.0 + x)
-        return (1.0 + x) * log1 * math.log(log1)
-
     @property
     def domain_threshold(self) -> float:
         return math.exp(1.0) - 1.0

@@ -1,6 +1,8 @@
 import math
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from delaygrowth.analysis import (
     EstimateStatus, EstimationError, Observable, Prediction, PredictionRefused,
@@ -63,6 +65,19 @@ def test_characteristic_root_is_bracketed_by_sign_change():
     resid = lambda v: v - 2.0 * math.exp(-v * 0.7)
     assert resid(lam - 1e-6) < 0.0 < resid(lam + 1e-6)
     assert resid(0.0) < 0.0
+
+
+@settings(deadline=None)
+@given(log_slope=st.floats(min_value=-300.0, max_value=300.0),
+       log_tau=st.floats(min_value=-300.0, max_value=300.0))
+@example(log_slope=300.0, log_tau=300.0)
+def test_characteristic_root_matches_lambert_w(log_slope, log_tau):
+    # lambda = W(slope * tau) / tau, to 50 digits; exp(-lambda tau)
+    # underflows during the bisection once lambda tau passes about 708
+    slope, tau = 10.0 ** log_slope, 10.0 ** log_tau
+    with mpmath.workdps(50):
+        want = float(mpmath.lambertw(mpmath.mpf(slope) * mpmath.mpf(tau)).real / tau)
+    assert abs(solve_char_eq(slope, tau) - want) <= 2 * math.ulp(want)
 
 
 def test_characteristic_root_validation():

@@ -155,6 +155,14 @@ def test_predict_reports_the_regime(capsys):
     assert "grid rate at h=0.25:" in text
 
 
+def test_predict_reports_the_linear_rate_where_exp_underflows(capsys):
+    # the root W(1e600)/1e300, to 50 digits 1.3743253375703266...e-297;
+    # exp(-lambda tau) leaves the normal doubles during the bisection
+    assert main(["predict", "g=linear(1e300)", "tau=1e300", "psi=const(1)",
+                 "N=1", "horizon=1e300"]) == 0
+    assert "continuous rate: 1.3743253375703266e-297\n" in capsys.readouterr().out
+
+
 def test_predict_refusal_exits_2(capsys):
     code = main(["predict", "g=power(1,2)", "f=power(1,1.2)", "tau=1",
                  "psi=const(1)", "N=4", "horizon=600"])
@@ -452,13 +460,16 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # start-up cost
 
-def test_importing_the_cli_leaves_scipy_unloaded():
+@pytest.mark.parametrize("package", ["scipy", "sympy", "mpmath"])
+def test_importing_the_cli_does_not_load(package):
     # scipy.special is most of the import time; only the RV1 ode-time
-    # closed form needs it, and it imports it when called
+    # closed form needs it, and it imports it when called.  sympy and
+    # mpmath are test-only dependencies, which the package never loads
     root = pathlib.Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, delaygrowth.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    code = ("import sys, delaygrowth.cli; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=env, timeout=60)
     assert result.returncode == 0, result.stderr

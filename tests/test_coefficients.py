@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from delaygrowth.coefficients import (
     Constant, ExpLogPow, LimitKind, Linear, LinTimesExpLogPow, Power, PowerLog,
@@ -10,6 +10,8 @@ from delaygrowth.coefficients import (
 )
 from delaygrowth.errors import DomainError
 from delaygrowth.functionals import NestedLogProduct
+
+from oracle import log_value
 
 params = st.floats(min_value=0.1, max_value=10.0,
                    allow_nan=False, allow_infinity=False)
@@ -56,7 +58,7 @@ def test_domains():
     with pytest.raises(DomainError):
         PowerLog(1.0, 1.0, 1.0).value_log(0.0)
     with pytest.raises(DomainError):
-        ExpLogPow(1.0, 2.0).value(0.5)
+        ExpLogPow(1.0, 2.0).value_log(math.log(0.5))
 
 
 def test_domain_threshold():
@@ -92,15 +94,15 @@ def test_log_evaluation_spot_values():
         math.log(3.0) + 18.0 - math.log(9.0))
 
 
+@settings(deadline=None)
 @given(spec=all_shapes, u=st.floats(min_value=0.5, max_value=100.0))
 def test_log_evaluation_matches_direct(spec, u):
-    v = spec.value(math.exp(u))
-    assume(math.isfinite(v))
+    want = float(log_value(spec, u))
     got = spec.value_log(u)
-    if v == 0.0:
+    if want == -math.inf:
         assert got == -math.inf
     else:
-        assert got == pytest.approx(math.log(v), rel=1e-12, abs=1e-9)
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
 
 
 def _hex(v) -> str:
@@ -124,9 +126,7 @@ def test_const_and_linear_are_power_at_exponent_0_and_1(c, la, gaps):
         gain, gain_power = shape.closed_gain(la), power.closed_gain(la)
         assert (gain is None) == (gain_power is None)
         for u in us:
-            x = math.exp(min(u, 700.0))
             assert _hex(shape.log_term(u)) == _hex(power.log_term(u))
-            assert _hex(shape.value(x)) == _hex(power.value(x))
             assert _hex(ode(u)) == _hex(ode_power(u))
             if gain is not None:
                 assert _hex(gain(u)) == _hex(gain_power(u))

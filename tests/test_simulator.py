@@ -18,6 +18,7 @@ from delaygrowth.simulator import (
     MAX_STEPS, ConstantHistory, History, RampHistory, Scenario, SimulationError, Trajectory,
     parse_history, simulate_euler, write_trajectory_csv, _step_singly, _step_windows,
 )
+from oracle import float_function
 from undelayed import undelayed_log_states
 
 
@@ -36,10 +37,11 @@ def simulate_direct(scenario: Scenario, cap: float = 1e15) -> Trajectory:
     """
     n_delay = scenario.steps_per_delay
     h = scenario.h
+    f, g = float_function(scenario.f), float_function(scenario.g)
     xs: list[float] = list(scenario.history_samples())
     truncated = False
     for _ in range(scenario.planned_steps()):
-        x = xs[-1] + h * scenario.f.value(xs[-1]) + h * scenario.g.value(xs[-1 - n_delay])
+        x = xs[-1] + h * f(xs[-1]) + h * g(xs[-1 - n_delay])
         if math.isnan(x):
             raise SimulationError(f"state became undefined after {len(xs)} samples")
         if x > cap:
