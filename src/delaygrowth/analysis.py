@@ -34,7 +34,7 @@ from .coefficients import (
 from .errors import DomainError, HorizonExceeded, NumericError
 from .functionals import (
     GrowthFunctional, NestedLogProduct, default_ode_lower, diverges, evaluate,
-    evaluate_many, gain_time, invert, ode_time,
+    evaluate_many, gain_time, invert, invert_many, ode_time,
 )
 from .logdomain import log_add
 from .simulator import Scenario, Trajectory, simulate_euler
@@ -528,16 +528,11 @@ def envelope_check(scenario: Scenario, eps: float) -> EnvelopeCheckResult:
 def envelope_margins(trajectory: Trajectory, params: EnvelopeParams,
                      ) -> list[tuple[int, float, float]]:
     """Samples (n, log x_n, log envelope_n); inf where the envelope overflows."""
-    out = []
     slope = 1.0 + params.eps
-    for n, state in zip(trajectory.indices(), trajectory.log_states.tolist()):
-        bound = slope * trajectory.time(n) + params.offset
-        try:
-            env_log = invert(params.functional, bound)
-        except HorizonExceeded:
-            env_log = math.inf
-        out.append((n, state, env_log))
-    return out
+    indices = trajectory.indices()
+    bounds = [slope * trajectory.time(n) + params.offset for n in indices]
+    return list(zip(indices, trajectory.log_states.tolist(),
+                    invert_many(params.functional, bounds)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ Invoke as ``delaygrowth CONFIG [KEY=VALUE ...]`` or, without a file, as
 earlier settings.  Exit codes: 0 success, 1 failed verification or envelope,
 2 configuration or domain problem (including a refused prediction, a config
 file that is not ASCII and an ``out`` path that cannot be written), 3 numeric
-failure before a usable estimate.
+failure before a usable estimate, 141 (128 + SIGPIPE) when stdout is closed
+before the output is written.
 """
 
 from __future__ import annotations
@@ -274,8 +275,7 @@ USAGE = ("usage: delaygrowth CONFIG [KEY=VALUE ...]\n"
          f"keys: {', '.join(KNOWN_KEYS[1:])}\n")
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = list(sys.argv[1:] if argv is None else argv)
+def _run(args: list[str]) -> int:
     try:
         config = load_config(args)
         return DISPATCH[config.command](config)
@@ -285,6 +285,19 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericError, HorizonExceeded) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = list(sys.argv[1:] if argv is None else argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout early: send what is left to devnull, so
+        # the flush at exit cannot raise again, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
+    return code
 
 
 if __name__ == "__main__":

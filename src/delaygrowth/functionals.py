@@ -40,7 +40,7 @@ from .errors import DomainError, HorizonExceeded, NumericError
 __all__ = [
     "FunctionalKind", "GrowthFunctional", "NestedLogProduct",
     "ode_time", "gain_time", "default_ode_lower",
-    "evaluate", "evaluate_many", "invert", "diverges",
+    "evaluate", "evaluate_many", "invert", "invert_many", "diverges",
     "QUAD_ABS_TOL", "QUAD_REL_TOL", "QUAD_MAX_DEPTH",
 ]
 
@@ -168,6 +168,8 @@ QUAD_MAX_DEPTH = 60
 
 _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 _GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
+# both rules have the node 0.0 exactly, so a panel evaluates its centre once
+_GL15_CENTRE = _GL15_NODES.tolist().index(0.0)
 
 
 def _integrand(functional: GrowthFunctional) -> Callable[[float], float]:
@@ -191,7 +193,7 @@ def _panel(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, f
     mid = 0.5 * (lo + hi)
     f15 = [fn(mid + half * t) for t in _GL15_NODES]
     s15 = half * float(np.dot(_GL15_WEIGHTS, f15))
-    f7 = [fn(mid + half * t) for t in _GL7_NODES]
+    f7 = [f15[_GL15_CENTRE] if t == 0.0 else fn(mid + half * t) for t in _GL7_NODES]
     s7 = half * float(np.dot(_GL7_WEIGHTS, f7))
     return s15, abs(s15 - s7)
 
@@ -287,29 +289,31 @@ _TOP_DOUBLING = 1 + int(math.log2(INVERT_LOG_RANGE))
 
 
 def _bracket_exponent(value_at: Callable[[float], float], la: float, y: float,
-                      gallop: bool) -> int:
-    """The least j >= 0 with la + 2^j past the log range or F(la + 2^j) >= y.
+                      gallop: bool, start: int = 0) -> int:
+    """The least j >= start with la + 2^j past the log range or F(la + 2^j) >= y.
 
-    F is ``value_at``, a function of log x.  That j is where a scan over
-    j = 0, 1, 2, ... stops.  With ``gallop`` the search doubles j
-    (0, 1, 2, 4, ...) and bisects the last doubling instead; F is
-    nondecreasing, so it stops at the same j after O(log j) probes.  That
-    pays where a probe costs the same at any argument (a closed form).  A
-    quadrature probe costs more the longer its range, and the gallop can
-    probe up to twice the scan's j, so quadrature scans.
+    F is ``value_at``, a function of log x, and every j below ``start``
+    must fall short of y.  That j is where a scan over j = start,
+    start + 1, ... stops.  With ``gallop`` the search doubles the step
+    (start, start + 1, start + 2, start + 4, ...) and bisects the last
+    one instead; F is nondecreasing, so it stops at the same j after
+    O(log j) probes.  That pays where a probe costs the same at any
+    argument (a closed form).  A quadrature probe costs more the longer
+    its range, and the gallop can probe up to twice the scan's j, so
+    quadrature scans.
     """
     def reaches(j: int) -> bool:
         hi = la + 2.0 ** j
         return hi > INVERT_LOG_RANGE or not value_at(hi) < y
 
     if not gallop:
-        j = 0
+        j = start
         while not reaches(j):
             j += 1
         return j
-    short, j = -1, 0  # every j <= short falls short of y
+    short, j = start - 1, start  # every j <= short falls short of y
     while not reaches(j):
-        short, j = j, min(max(2 * j, 1), _TOP_DOUBLING)
+        short, j = j, min(start + max(2 * (j - start), 1), _TOP_DOUBLING)
     while j - short > 1:
         mid = (short + j) // 2
         if reaches(mid):
@@ -319,46 +323,88 @@ def _bracket_exponent(value_at: Callable[[float], float], la: float, y: float,
     return j
 
 
-def invert(functional: GrowthFunctional, y: float) -> float:
-    """log x such that F(x)/scale = y, for diverging functionals.
+def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float]:
+    """log x such that F(x)/scale = y, for each y; inf where that is past the log range.
 
-    Bisection on [la, la + 2^j], for the least j >= 0 with
-    F(la + 2^j)/scale >= y, until the residual is within 1e-9 * (1 + |y|).
-    For a closed form that j is found by galloping over the doubling
-    exponent and bisecting it; quadrature scans j = 0, 1, 2, ... (see
-    ``_bracket_exponent``).  Both give the same bracket, so the same
-    result.  A bracket past log x = 1e300 means the inverse is not
-    representable and raises HorizonExceeded.
+    Each value is what ``invert`` returns for it, bit for bit, with inf
+    where ``invert`` raises HorizonExceeded.  Every value is checked, and
+    whether F diverges, before the first probe.  Consecutive values share
+    work: F at the bracket ends la + 2^j does not depend on y, so each is
+    probed once per call; a value at or above the last bracketed one
+    resumes the bracket search at that one's j, since the least j can
+    only grow; and each bisection reuses the (mid, F(mid)) pairs of the
+    previous one along their common prefix, where the midpoints are the
+    same doubles.  Only that previous path is kept.
     """
-    if math.isnan(y) or y < 0.0:
-        raise DomainError(f"cannot invert at {y!r}: values are nonnegative")
-    if math.isinf(y):
-        raise HorizonExceeded(
-            f"inverse of {functional.describe()} at infinity is not representable")
-    if not diverges(functional):
+    values = list(ys)
+    for y in values:
+        if math.isnan(y) or y < 0.0:
+            raise DomainError(f"cannot invert at {y!r}: values are nonnegative")
+    if any(y < math.inf for y in values) and not diverges(functional):
         raise DomainError(
             f"{functional.describe()} is bounded; its inverse is not defined for all values")
     la = functional.log_lower
-    if y == 0.0:
-        return la
-    tol = 1e-9 * (1.0 + abs(y))
     closed = _closed(functional)
     value_at = _evaluator(functional, closed)
-    hi = la + 2.0 ** _bracket_exponent(value_at, la, y, gallop=closed is not None)
-    if hi > INVERT_LOG_RANGE:
-        raise HorizonExceeded(
-            f"inverse of {functional.describe()} at {y!r} exceeds log range {INVERT_LOG_RANGE:g}")
-    lo = la
-    for _ in range(INVERT_MAX_ITERS):
-        mid = 0.5 * (lo + hi)
-        val = value_at(mid)
-        if abs(val - y) <= tol:
-            return mid
-        if val < y:
-            lo = mid
+    rungs: dict[float, float] = {}  # F at la + 2^j; at most _TOP_DOUBLING + 1 entries
+
+    def rung(hi: float) -> float:
+        if hi not in rungs:
+            rungs[hi] = value_at(hi)
+        return rungs[hi]
+
+    path: list[tuple[float, float]] = []  # (mid, F(mid)) along the last bisection
+    last_y, last_j = math.inf, 0  # the last bracketed value and its j
+    out = []
+    for y in values:
+        if y == 0.0 or y == math.inf:
+            out.append(la if y == 0.0 else math.inf)
+            continue
+        start = last_j if y >= last_y else 0
+        last_y = y
+        last_j = _bracket_exponent(rung, la, y, closed is not None, start)
+        lo, hi = la, la + 2.0 ** last_j
+        if hi > INVERT_LOG_RANGE:
+            out.append(math.inf)
+            continue
+        tol = 1e-9 * (1.0 + abs(y))
+        for k in range(INVERT_MAX_ITERS):
+            mid = 0.5 * (lo + hi)
+            if k < len(path) and path[k][0] == mid:
+                val = path[k][1]
+            else:
+                val = value_at(mid)
+                del path[k:]
+                path.append((mid, val))
+            if abs(val - y) <= tol:
+                break
+            if val < y:
+                lo = mid
+            else:
+                hi = mid
         else:
-            hi = mid
-    raise NumericError(f"inversion of {functional.describe()} at {y!r} did not converge")
+            raise NumericError(f"inversion of {functional.describe()} at {y!r} did not converge")
+        out.append(mid)
+    return out
+
+
+def invert(functional: GrowthFunctional, y: float) -> float:
+    """log x such that F(x)/scale = y, for diverging functionals.
+
+    The one-value case of ``invert_many``: bisection on [la, la + 2^j],
+    for the least j >= 0 with F(la + 2^j)/scale >= y, until the residual
+    is within 1e-9 * (1 + |y|).  For a closed form that j is found by
+    galloping over the doubling exponent and bisecting it; quadrature
+    scans j = 0, 1, 2, ... (see ``_bracket_exponent``).  Both give the
+    same bracket, so the same result.  A bracket past log x = 1e300 means
+    the inverse is not representable and raises HorizonExceeded.
+    """
+    (log_x,) = invert_many(functional, [y])
+    if log_x == math.inf:
+        where = "infinity is not representable" if y == math.inf else \
+            f"{y!r} exceeds log range {INVERT_LOG_RANGE:g}"
+        raise HorizonExceeded(f"inverse of {functional.describe()} at {where}")
+    return log_x
 
 
 def diverges(functional: GrowthFunctional) -> bool:

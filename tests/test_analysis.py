@@ -1,4 +1,5 @@
 import math
+import pathlib
 
 import mpmath
 import pytest
@@ -14,11 +15,14 @@ from delaygrowth.coefficients import (
     Constant, ExpLogPow, Linear, LinTimesExpLogPow, Power, PowerLog, Zero,
     parse_coefficient,
 )
-from delaygrowth.errors import DomainError
+from delaygrowth.cli import build_scenario, load_config
+from delaygrowth.errors import DomainError, HorizonExceeded
 from delaygrowth.functionals import evaluate as evaluate_fn
-from delaygrowth.functionals import gain_time, ode_time
+from delaygrowth.functionals import gain_time, invert, ode_time
 from delaygrowth.simulator import ConstantHistory, Scenario, Trajectory, simulate_euler
 from undelayed import undelayed_log_states
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def scenario(**kw):
@@ -563,6 +567,25 @@ def test_envelope_margins_report_overflowing_levels_as_inf():
         if math.isfinite(env):
             assert env > state or n < 0
     assert rows[-1][2] >= rows[0][2]
+
+
+def test_envelope_margins_share_probes_across_the_column(probes):
+    # the column inverts (1+eps) t + offset at every step, so its values
+    # ascend; one invert per row needed 36.7 probes per row here
+    config = load_config([str(ROOT / "configs" / "envelope_rv1.cfg")])
+    sc = build_scenario(config)
+    params = derive_envelope_params(sc, config.get_float("eps"))
+    traj = simulate_euler(sc)
+    rows = envelope_margins(traj, params)
+    assert len(rows) == 1605
+    assert len(probes) <= 22 * len(rows)
+
+    def per_row(n):
+        try:
+            return invert(params.functional, (1.0 + params.eps) * traj.time(n) + params.offset)
+        except HorizonExceeded:
+            return math.inf
+    assert [env.hex() for _, _, env in rows] == [per_row(n).hex() for n in traj.indices()]
 
 
 def test_envelope_refused_without_a_comparison_scale():

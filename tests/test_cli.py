@@ -458,19 +458,39 @@ def test_main_reads_sys_argv(monkeypatch, capsys):
 
 
 # ---------------------------------------------------------------------------
-# start-up cost
+# in a fresh interpreter
+
+def package_env():
+    """The environment with this checkout's package first on the path."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
 
 @pytest.mark.parametrize("package", ["scipy", "sympy", "mpmath"])
 def test_importing_the_cli_does_not_load(package):
     # scipy.special is most of the import time; only the RV1 ode-time
     # closed form needs it, and it imports it when called.  sympy and
     # mpmath are test-only dependencies, which the package never loads
-    root = pathlib.Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     code = ("import sys, delaygrowth.cli; "
             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            env=env, timeout=60)
+                            env=package_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_a_closed_stdout_exits_141_in_silence():
+    # 20,001 CSV rows, far more than a pipe holds, so the writes after the
+    # reader closes fail; as with `delaygrowth simulate ... | head -2`
+    argv = [sys.executable, "-m", "delaygrowth.cli", "simulate", "g=power(1,0.5)", "tau=1",
+            "psi=const(1)", "N=10", "horizon=2000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=package_env())
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 141
+    assert stderr == b""
+    assert head == [b"n,t,log_x,functional,ratio\n", b"-10,-1.0,0.0,,\n"]

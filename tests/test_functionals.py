@@ -1,4 +1,6 @@
+import functools
 import math
+import random
 from dataclasses import dataclass, replace
 
 import pytest
@@ -12,7 +14,7 @@ from delaygrowth.errors import DomainError, HorizonExceeded, NumericError
 from delaygrowth.functionals import (
     INVERT_LOG_RANGE, INVERT_MAX_ITERS, FunctionalKind, GrowthFunctional,
     NestedLogProduct, default_ode_lower, diverges, evaluate, evaluate_many,
-    gain_time, invert, ode_time, _bracket_exponent, _closed,
+    gain_time, invert, invert_many, ode_time, _bracket_exponent, _closed,
     _evaluator,
 )
 
@@ -303,7 +305,8 @@ def test_invert_matches_the_doubling_scan_on_bad_values():
     for y in (-1.0, math.nan, math.inf, 0.0):
         assert outcome(invert, F, y) == outcome(scan_invert, F, y)
     bounded = ode_time(Power(1.0, 2.0), 1.0)
-    assert outcome(invert, bounded, 0.5) == outcome(scan_invert, bounded, 0.5)
+    for y in (0.5, 0.0, math.inf):
+        assert outcome(invert, bounded, y) == outcome(scan_invert, bounded, y)
 
 
 def test_invert_of_the_rv1_window_count_is_pinned():
@@ -328,6 +331,57 @@ def test_the_gallop_needs_logarithmically_many_probes():
     assert j == _bracket_exponent(evaluator, F.log_lower, y, gallop=False)
     assert j > 800
     assert len(probes) <= 2 * math.ceil(math.log2(j)) + 1
+
+
+# ---------------------------------------------------------------------------
+# batch inversion against the doubling scan, value by value
+
+@functools.cache
+def scanned(functional, y):
+    """``scan_invert`` as float hex, with inf where it raises HorizonExceeded."""
+    try:
+        return scan_invert(functional, y).hex()
+    except HorizonExceeded:
+        return math.inf.hex()
+
+
+def column_orders(ys):
+    """ys ascending, descending, shuffled, and with repeats and zeros."""
+    up = sorted(ys)
+    mixed = [0.0] + [y for y in up for _ in (0, 1)] + [0.0] + up[::3]
+    return [up, up[::-1], random.Random(3).sample(ys, len(ys)), mixed]
+
+
+# 1e300 lies past the log range for the functionals that grow like log log x
+@pytest.mark.parametrize("scale", [1.0, 0.37, 5.0])
+@pytest.mark.parametrize("F", CLOSED_DIVERGING, ids=GrowthFunctional.describe)
+def test_invert_many_is_the_scan_per_value_on_closed_forms(F, scale):
+    F = replace(F, scale=scale)
+    for ys in column_orders(INVERT_YS + [1e300, math.inf]):
+        got = [v.hex() for v in invert_many(F, ys)]
+        assert got == [scanned(F, y) for y in ys], ys
+
+
+@pytest.mark.parametrize("F", QUADRATURE_DIVERGING, ids=GrowthFunctional.describe)
+def test_invert_many_is_the_scan_per_value_on_quadrature(F):
+    for ys in column_orders([1e-6, 10.0]):
+        got = [v.hex() for v in invert_many(F, ys)]
+        assert got == [scanned(F, y) for y in ys], ys
+
+
+@pytest.mark.parametrize("F,ys,bad", [
+    (ode_time(Constant(2.0), 1.0), [1.0, 2.0, math.nan, 3.0], math.nan),
+    (ode_time(Constant(2.0), 1.0), [1.0, -1.0, 2.0], -1.0),
+    (ode_time(Power(1.0, 2.0), 1.0), [0.5], 0.5),
+    (ode_time(Power(1.0, 2.0), 1.0), [math.inf, 0.0, 1.0], 0.0),
+])
+def test_invert_many_checks_everything_before_any_probe(probes, F, ys, bad):
+    with pytest.raises(DomainError) as many:
+        invert_many(F, ys)
+    with pytest.raises(DomainError) as one:
+        invert(F, bad)
+    assert str(many.value) == str(one.value)
+    assert probes == []
 
 
 # ---------------------------------------------------------------------------
