@@ -24,15 +24,17 @@ table pattern.  ``str`` of a tabled shape or history is its parsable text.
 and 1: they differ from it only in their syntax and error messages.
 
 Each shape owns its mathematics: ``regime()`` names the growth regime that
-fixes which rate law applies, ``reciprocal_diverges()`` and
-``gain_diverges()`` say whether the ode-time and gain-time functionals of
-the shape grow without bound, and ``closed_ode``/``closed_gain`` integrate
-them in closed form where an antiderivative is known: given the lower
-limit they do the lower-limit work once and return the integral as a
-function of the upper limit.  ``classify_regime`` is the function form of
-``regime()``, and ``limit_probe`` renders an empirical verdict on a limit
-of a ratio of two shapes along a ladder of log-scales; predictions use it
-to check their dominance hypotheses before committing to a rate.
+fixes which rate law applies, ``reciprocal_diverges()`` says whether the
+ode-time functional of the shape grows without bound, and ``closed_ode``
+integrates that functional in closed form where an antiderivative is
+known: given the lower limit it does the lower-limit work once and
+returns the integral as a function of the upper limit.  The gain-time
+functional is only evaluated, by quadrature, so shapes carry no closed
+form or divergence rule for it.  ``classify_regime`` is the function
+form of ``regime()``, and ``limit_probe`` renders an empirical verdict on
+a limit of a ratio of two shapes along a ladder of log-scales;
+predictions use it to check their dominance hypotheses before committing
+to a rate.
 """
 
 from __future__ import annotations
@@ -122,10 +124,10 @@ _UNSUPPORTED = Regime(RegimeKind.UNSUPPORTED)
 # ---------------------------------------------------------------------------
 # closed forms
 #
-# Everything is expressed in u = log x.  ``closed_ode(la)`` and
-# ``closed_gain(la)`` return the unscaled integral of the matching
-# functional over [la, u] as a function of u, or None when only quadrature
-# will do.  The lower term is computed once, when the function is built.
+# Everything is expressed in u = log x.  ``closed_ode(la)`` returns the
+# unscaled integral of the ode-time functional over [la, u] as a function
+# of u, or None when only quadrature will do.  The lower term is computed
+# once, when the function is built.
 
 _SQRT_PI_HALF = 0.5 * math.sqrt(math.pi)
 
@@ -146,8 +148,8 @@ class CoefficientSpec:
 
     Subclasses set ``_MIN_LOG_ARG`` (log of the smallest admissible
     argument) and ``_MIN_INCLUSIVE`` (whether that bound itself is
-    admissible), implement ``log_term`` and the two divergence rules, and
-    override ``regime`` and the closed forms where they have them.  There
+    admissible), implement ``log_term`` and the divergence rule, and
+    override ``regime`` and the closed form where they have them.  There
     is no direct float value: F(x) itself is never needed, only log F.
     """
 
@@ -202,16 +204,8 @@ class CoefficientSpec:
         """
         raise DomainError(f"no divergence rule for {self!r}")
 
-    def gain_diverges(self) -> bool:
-        """Whether the gain-time functional of this shape grows without bound."""
-        raise DomainError(f"no divergence rule for {self!r}")
-
     def closed_ode(self, la: float) -> ClosedForm | None:
         """u -> integral of e^w / F(e^w) over [la, u], or None without a closed form."""
-        return None
-
-    def closed_gain(self, la: float) -> ClosedForm | None:
-        """u -> integral of 1 / log1p(F(e^w) / e^w) over [la, u], or None."""
         return None
 
     def __str__(self) -> str:
@@ -269,16 +263,8 @@ class Power(CoefficientSpec):
     def reciprocal_diverges(self) -> bool:
         return self.exponent <= 1
 
-    def gain_diverges(self) -> bool:
-        return True
-
     def closed_ode(self, la: float) -> ClosedForm:
         return _closed_power(self.coefficient, self.exponent, la)
-
-    def closed_gain(self, la: float) -> ClosedForm | None:
-        if self.exponent == 1.0:
-            rate = math.log1p(self.coefficient)
-            return lambda u: (u - la) / rate
         return None
 
 
@@ -331,9 +317,6 @@ class LinTimesExpLogPow(CoefficientSpec):
         # 1/F integrates like exp(-(log u)^alpha) d(log u): finite
         return False
 
-    def gain_diverges(self) -> bool:
-        return self.exponent <= 1.0
-
     def closed_ode(self, la: float) -> ClosedForm:
         # integrand e^{-w^alpha}/c; substitute s = w^alpha.  scipy is
         # imported here, not at module level: it costs most of the package's
@@ -375,9 +358,6 @@ class ExpLogPow(CoefficientSpec):
 
     def reciprocal_diverges(self) -> bool:
         return self.exponent <= 1
-
-    def gain_diverges(self) -> bool:
-        return self.exponent <= 1.0
 
     def closed_ode(self, la: float) -> ClosedForm | None:
         if self.exponent == 2.0:
@@ -435,9 +415,6 @@ class PowerLog(CoefficientSpec):
         if self.power == 1:
             return self.log_power <= 1
         return False
-
-    def gain_diverges(self) -> bool:
-        return True
 
     def closed_ode(self, la: float) -> ClosedForm | None:
         c = self.coefficient

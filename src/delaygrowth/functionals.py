@@ -17,11 +17,15 @@ F(x_n)/(n h) and compares them against predicted limits, so everything
 here must stay finite and accurate while x itself is only represented by
 its logarithm.
 
-All evaluation happens in the substituted variable w = log u.  Shapes with
-known antiderivatives (most of the catalog) are integrated in closed form
-by their own ``closed_ode``/``closed_gain`` methods, and answer whether the
-functional diverges through ``reciprocal_diverges``/``gain_diverges``; the
-rest go through an adaptive Gauss-Legendre scheme on the transformed
+All evaluation happens in the substituted variable w = log u, and each
+family has only the routes the verifier takes:
+- ode-time functionals are integrated by the shape's own ``closed_ode``
+  where it has one, and by quadrature otherwise; they answer whether
+  they diverge through ``reciprocal_diverges``, and only a closed form
+  is inverted (for envelopes);
+- gain-time functionals are only evaluated, by quadrature: they are never
+  inverted and have no divergence rule.
+The quadrature is an adaptive Gauss-Legendre scheme on the transformed
 integrand, which is smooth and bounded away from the blow-up scales.
 """
 
@@ -41,7 +45,7 @@ __all__ = [
     "FunctionalKind", "GrowthFunctional", "NestedLogProduct",
     "ode_time", "gain_time", "default_ode_lower",
     "evaluate", "evaluate_many", "invert", "invert_many", "diverges",
-    "QUAD_ABS_TOL", "QUAD_REL_TOL", "QUAD_MAX_DEPTH",
+    "QUAD_ABS_TOL", "QUAD_REL_TOL",
 ]
 
 
@@ -78,11 +82,6 @@ class NestedLogProduct(CoefficientSpec):
         return sum(chain)
 
     def reciprocal_diverges(self) -> bool:
-        return True
-
-    def gain_diverges(self) -> bool:
-        # g(u)/u grows like the iterated logs, so 1/log1p(g(u)/u) decays
-        # no faster than 1/log w and its integral over w diverges
         return True
 
     def closed_ode(self, la: float) -> ClosedForm:
@@ -152,11 +151,13 @@ def default_ode_lower(phi: CoefficientSpec, history_floor: float) -> float:
 
 
 def _closed(functional: GrowthFunctional) -> ClosedForm | None:
-    """The shape's closed form of the unscaled functional in log x, or None."""
-    coeff, la = functional.coeff, functional.log_lower
+    """The shape's closed form of the unscaled functional in log x, or None.
+
+    Only ode-time functionals have one; gain-time is quadrature only.
+    """
     if functional.kind is FunctionalKind.ODE_TIME:
-        return coeff.closed_ode(la)
-    return coeff.closed_gain(la)
+        return functional.coeff.closed_ode(functional.log_lower)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,6 @@ def _closed(functional: GrowthFunctional) -> ClosedForm | None:
 
 QUAD_ABS_TOL = 1e-10
 QUAD_REL_TOL = 1e-9
-QUAD_MAX_DEPTH = 60
 
 _GL7_NODES, _GL7_WEIGHTS = np.polynomial.legendre.leggauss(7)
 _GL15_NODES, _GL15_WEIGHTS = np.polynomial.legendre.leggauss(15)
@@ -199,25 +199,32 @@ def _panel(fn: Callable[[float], float], lo: float, hi: float) -> tuple[float, f
 
 
 def _adaptive(fn: Callable[[float], float], lo: float, hi: float) -> float:
+    """The integral of fn over [lo, hi], halving panels until each meets its budget.
+
+    A panel that misses its budget splits for as long as a double lies
+    strictly inside it, so a cusp at an end of the range (where each
+    halving keeps the panel's relative error) is resolved down to the
+    spacing of the doubles there.
+    """
     total_width = hi - lo
     if total_width == 0.0:
         return 0.0
     acc = 0.0
-    stack = [(lo, hi, 0)]
+    stack = [(lo, hi)]
     while stack:
-        a, b, depth = stack.pop()
+        a, b = stack.pop()
         est, err = _panel(fn, a, b)
         budget = QUAD_REL_TOL * abs(est) + QUAD_ABS_TOL * ((b - a) / total_width)
         if err <= budget:
             acc += est
-        elif depth >= QUAD_MAX_DEPTH:
+            continue
+        m = 0.5 * (a + b)
+        if not a < m < b:
             raise NumericError(
                 f"quadrature failed to converge on [{a:g}, {b:g}] "
                 f"(estimate {est:g}, error {err:g})")
-        else:
-            m = 0.5 * (a + b)
-            stack.append((a, m, depth + 1))
-            stack.append((m, b, depth + 1))
+        stack.append((a, m))
+        stack.append((m, b))
     return acc
 
 
@@ -289,28 +296,21 @@ _TOP_DOUBLING = 1 + int(math.log2(INVERT_LOG_RANGE))
 
 
 def _bracket_exponent(value_at: Callable[[float], float], la: float, y: float,
-                      gallop: bool, start: int = 0) -> int:
+                      start: int = 0) -> int:
     """The least j >= start with la + 2^j past the log range or F(la + 2^j) >= y.
 
     F is ``value_at``, a function of log x, and every j below ``start``
     must fall short of y.  That j is where a scan over j = start,
-    start + 1, ... stops.  With ``gallop`` the search doubles the step
-    (start, start + 1, start + 2, start + 4, ...) and bisects the last
-    one instead; F is nondecreasing, so it stops at the same j after
-    O(log j) probes.  That pays where a probe costs the same at any
-    argument (a closed form).  A quadrature probe costs more the longer
-    its range, and the gallop can probe up to twice the scan's j, so
-    quadrature scans.
+    start + 1, ... stops.  The search gallops instead: it doubles the
+    step (start, start + 1, start + 2, start + 4, ...) and bisects the
+    last one; F is nondecreasing, so it stops at the same j after
+    O(log j) probes.  That pays because F is a closed form, whose probes
+    cost the same at any argument.
     """
     def reaches(j: int) -> bool:
         hi = la + 2.0 ** j
         return hi > INVERT_LOG_RANGE or not value_at(hi) < y
 
-    if not gallop:
-        j = start
-        while not reaches(j):
-            j += 1
-        return j
     short, j = start - 1, start  # every j <= short falls short of y
     while not reaches(j):
         short, j = j, min(start + max(2 * (j - start), 1), _TOP_DOUBLING)
@@ -327,15 +327,20 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
     """log x such that F(x)/scale = y, for each y; inf where that is past the log range.
 
     Each value is what ``invert`` returns for it, bit for bit, with inf
-    where ``invert`` raises HorizonExceeded.  Every value is checked, and
-    whether F diverges, before the first probe.  Consecutive values share
-    work: F at the bracket ends la + 2^j does not depend on y, so each is
-    probed once per call; a value at or above the last bracketed one
-    resumes the bracket search at that one's j, since the least j can
-    only grow; and each bisection reuses the (mid, F(mid)) pairs of the
-    previous one along their common prefix, where the midpoints are the
-    same doubles.  Only that previous path is kept.
+    where ``invert`` raises HorizonExceeded.  Only a functional with a
+    closed form (an ode-time functional whose shape has ``closed_ode``)
+    is inverted; any other raises DomainError.  That, every value, and
+    whether F diverges are checked before the first probe.  Consecutive
+    values share work: F at the bracket ends la + 2^j does not depend on
+    y, so each is probed once per call; a value at or above the last
+    bracketed one resumes the bracket search at that one's j, since the
+    least j can only grow; and each bisection reuses the (mid, F(mid))
+    pairs of the previous one along their common prefix, where the
+    midpoints are the same doubles.  Only that previous path is kept.
     """
+    closed = _closed(functional)
+    if closed is None:
+        raise DomainError(f"{functional.describe()} has no closed form to invert")
     values = list(ys)
     for y in values:
         if math.isnan(y) or y < 0.0:
@@ -344,7 +349,6 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
         raise DomainError(
             f"{functional.describe()} is bounded; its inverse is not defined for all values")
     la = functional.log_lower
-    closed = _closed(functional)
     value_at = _evaluator(functional, closed)
     rungs: dict[float, float] = {}  # F at la + 2^j; at most _TOP_DOUBLING + 1 entries
 
@@ -362,7 +366,7 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
             continue
         start = last_j if y >= last_y else 0
         last_y = y
-        last_j = _bracket_exponent(rung, la, y, closed is not None, start)
+        last_j = _bracket_exponent(rung, la, y, start)
         lo, hi = la, la + 2.0 ** last_j
         if hi > INVERT_LOG_RANGE:
             out.append(math.inf)
@@ -389,15 +393,15 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
 
 
 def invert(functional: GrowthFunctional, y: float) -> float:
-    """log x such that F(x)/scale = y, for diverging functionals.
+    """log x such that F(x)/scale = y, for diverging closed-form functionals.
 
     The one-value case of ``invert_many``: bisection on [la, la + 2^j],
     for the least j >= 0 with F(la + 2^j)/scale >= y, until the residual
-    is within 1e-9 * (1 + |y|).  For a closed form that j is found by
-    galloping over the doubling exponent and bisecting it; quadrature
-    scans j = 0, 1, 2, ... (see ``_bracket_exponent``).  Both give the
-    same bracket, so the same result.  A bracket past log x = 1e300 means
-    the inverse is not representable and raises HorizonExceeded.
+    is within 1e-9 * (1 + |y|).  That j is found by galloping over the
+    doubling exponent and bisecting it (see ``_bracket_exponent``).  A
+    bracket past log x = 1e300 means the inverse is not representable and
+    raises HorizonExceeded; a functional without a closed form raises
+    DomainError.
     """
     (log_x,) = invert_many(functional, [y])
     if log_x == math.inf:
@@ -408,7 +412,10 @@ def invert(functional: GrowthFunctional, y: float) -> float:
 
 
 def diverges(functional: GrowthFunctional) -> bool:
-    """Whether F(x) grows without bound as x does."""
-    if functional.kind is FunctionalKind.ODE_TIME:
-        return functional.coeff.reciprocal_diverges()
-    return functional.coeff.gain_diverges()
+    """Whether an ode-time F(x) grows without bound as x does.
+
+    Gain-time functionals are only evaluated, so they raise DomainError.
+    """
+    if functional.kind is not FunctionalKind.ODE_TIME:
+        raise DomainError(f"{functional.describe()} has no divergence rule")
+    return functional.coeff.reciprocal_diverges()

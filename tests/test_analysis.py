@@ -6,19 +6,21 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delaygrowth.analysis import (
-    EstimateStatus, EstimationError, Observable, Prediction, PredictionRefused,
+    _LAWS, EstimateStatus, EstimationError, Observable, Prediction, PredictionRefused,
     RateEstimate, default_functional, derive_envelope_params, envelope_check,
     envelope_margins, estimate_rate, format_prediction, format_verification,
     predict, solve_char_eq, sweep_h, verify_scenario,
 )
 from delaygrowth.coefficients import (
     Constant, ExpLogPow, Linear, LinTimesExpLogPow, Power, PowerLog, Zero,
-    parse_coefficient,
+    classify_regime, parse_coefficient,
 )
 from delaygrowth.cli import build_scenario, load_config
 from delaygrowth.errors import DomainError, HorizonExceeded
 from delaygrowth.functionals import evaluate as evaluate_fn
-from delaygrowth.functionals import gain_time, invert, ode_time
+from delaygrowth.functionals import (
+    _closed, default_ode_lower, gain_time, invert, ode_time,
+)
 from delaygrowth.simulator import ConstantHistory, Scenario, Trajectory, simulate_euler
 from undelayed import undelayed_log_states
 
@@ -390,6 +392,16 @@ def test_envelope_comparison_scale_per_regime(g, functional, offset, floor_log):
     assert params.functional.describe() == functional
     assert (params.offset.hex(), params.floor_log.hex()) == (offset, floor_log)
     assert (params.f_scale, params.g_scale) == (0.0, math.exp(10.0))
+
+
+@pytest.mark.parametrize("g", ["power(1,0.5)", "const(2)", "linear(1)",
+                               "xexplogpow(1,0.5)", "power(1,2)", "explogpow(1,2)"])
+def test_every_envelope_scale_has_a_closed_form_to_invert(g):
+    # invert takes closed forms only, so every regime's comparison scale
+    # must have one
+    g = parse_coefficient(g)
+    scale = _LAWS[classify_regime(g).kind].scale(g)
+    assert _closed(ode_time(scale, default_ode_lower(scale, 1.0))) is not None
 
 
 # ---------------------------------------------------------------------------

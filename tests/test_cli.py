@@ -170,6 +170,16 @@ def test_predict_refusal_exits_2(capsys):
     assert "dominance hypothesis failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("a", [0.01, 0.3, 0.9, 0.99])
+def test_verify_gives_a_verdict_on_rv1_cusps(a, capsys):
+    # the window-count integrand 1/softplus(w^a) has a w^a cusp at w = 0,
+    # which the quadrature must resolve rather than exit 3 on
+    code = main(["verify", f"g=xexplogpow(1,{a})", "tau=1", "psi=const(1)",
+                 "N=4", "horizon=400"])
+    assert code in (0, 1)
+    assert "verdict: " in capsys.readouterr().out
+
+
 def test_short_runs_exit_3(capsys):
     code = main(["verify", "g=const(2)", "tau=1", "psi=const(1)", "N=4",
                  "horizon=30"])

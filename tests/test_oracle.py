@@ -72,7 +72,7 @@ def test_log_term_matches_50_digits(shape, u):
 
 
 # ---------------------------------------------------------------------------
-# closed forms of the two functionals, against mpmath.quad in w = log x
+# closed forms of the ode-time functional, against mpmath.quad in w = log x
 
 @symbolic
 @given(shape=nonzero_shapes, la=small(0, 4), width=small("1/4", 8))
@@ -84,16 +84,14 @@ def test_log_term_matches_50_digits(shape, u):
 def test_closed_forms_match_quadrature(shape, la, width):
     la, u = float(la), float(la + width)
     assume(shape.supports(la))
-    routes = ((shape.closed_ode(la), oracle.ode_integrand),
-              (shape.closed_gain(la), oracle.gain_integrand))
-    for closed, integrand in routes:
-        if closed is not None:
-            want = float(oracle.quad(integrand(shape), la, u))
-            assert closed(u) == pytest.approx(want, rel=QUAD_REL_TOL, abs=QUAD_ABS_TOL)
+    closed = shape.closed_ode(la)
+    if closed is not None:
+        want = float(oracle.quad(oracle.ode_integrand(shape), la, u))
+        assert closed(u) == pytest.approx(want, rel=QUAD_REL_TOL, abs=QUAD_ABS_TOL)
 
 
 # ---------------------------------------------------------------------------
-# divergence rules, against limit comparison of the tail integrands
+# the divergence rule, against limit comparison of the tail integrand
 
 @symbolic
 @given(shape=nonzero_shapes)
@@ -107,13 +105,11 @@ def test_closed_forms_match_quadrature(shape, la, width):
 @example(shape=ExpLogPow(1.0, 1.5))
 def test_divergence_rules_match_limit_comparison(shape):
     assert shape.reciprocal_diverges() is oracle.tail_diverges(oracle.ode_integrand(shape))
-    assert shape.gain_diverges() is oracle.tail_diverges(oracle.gain_integrand(shape))
 
 
-def test_the_zero_shape_has_no_divergence_rules():
-    for rule in (Zero().reciprocal_diverges, Zero().gain_diverges):
-        with pytest.raises(DomainError):
-            rule()
+def test_the_zero_shape_has_no_divergence_rule():
+    with pytest.raises(DomainError):
+        Zero().reciprocal_diverges()
 
 
 # ---------------------------------------------------------------------------
