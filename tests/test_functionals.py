@@ -183,6 +183,7 @@ def test_evaluate_many_handles_unsorted_and_empty():
 @pytest.mark.parametrize("F,u0", [
     (ode_time(Constant(1.0), 1.0), 5.0),
     (ode_time(PowerLog(1.0, 1.0, 1.0), math.e), 50.0),
+    (ode_time(Linear(2.0), math.e), 40.0),
     (ode_time(NestedLogProduct(), math.e), 200.0),
 ])
 def test_invert_round_trip(F, u0):
@@ -276,6 +277,7 @@ CLOSED_DIVERGING = [
     ode_time(PowerLog(1.0, 1.0, 0.5), math.e),
     ode_time(PowerLog(1.0, 1.0, -2.0), 2.0),
     ode_time(NestedLogProduct(), math.e),
+    ode_time(Linear(1.0), math.e),
 ]
 # functionals evaluated by quadrature: diverging ode-time shapes without a
 # closed form, and every gain-time functional
@@ -432,12 +434,13 @@ def test_evaluate_many_is_evaluate_bit_for_bit_on_unsorted_quadrature(F, offsets
 
 
 @pytest.mark.parametrize("F", CLOSED_DIVERGING + [ode_time(Power(1.0, 2.0), 1.0),
-                                                 ode_time(PowerLog(1.0, 3.0, 0.0), 2.0)],
+                                                 ode_time(PowerLog(1.0, 3.0, 0.0), 2.0)]
+                         + QUADRATURE,
                          ids=GrowthFunctional.describe)
 def test_the_functional_is_plus_zero_at_its_lower_reference(F):
     # a closed form written out at u = la gives -0.0 where its
     # denominator is negative (power above 1), so the lower reference is
-    # its own case
+    # its own case, on the closed and the quadrature route alike
     la = F.log_lower
     assert evaluate(F, la).hex() == "0x0.0p+0"
     assert [v.hex() for v in evaluate_many(F, [la, la])] == ["0x0.0p+0"] * 2
@@ -465,6 +468,14 @@ def test_evaluate_many_raises_what_evaluate_raises(F, bad):
     (ode_time(Power(1.0, 2.0), 1.0), False),
     (ode_time(LinTimesExpLogPow(1.0, 0.5), 1.0), False),
     (ode_time(NestedLogProduct(), math.e), True),
+    (ode_time(Linear(2.0), math.e), True),
+    (ode_time(PowerLog(1.0, 1.0, 1.0), math.e), True),
+    (ode_time(PowerLog(2.0, 0.5, -1.0), 3.0), True),
+    (ode_time(ExpLogPow(1.0, 0.5), 1.0), True),
+    (ode_time(PowerLog(1.0, 1.0, 2.0), 2.0), False),
+    (ode_time(ExpLogPow(1.0, 2.0), 1.0), False),
+    (ode_time(ExpLogPow(1.0, 1.0), 1.0), True),
+    (ode_time(PowerLog(1.0, 1.0, -2.0), 2.0), True),
 ])
 def test_divergence_rules(F, expected):
     assert diverges(F) is expected
