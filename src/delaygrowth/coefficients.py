@@ -26,11 +26,13 @@ and 1: they differ from it only in their syntax and error messages.
 Each shape owns its mathematics: ``regime()`` names the growth regime that
 fixes which rate law applies, ``reciprocal_diverges()`` says whether the
 ode-time functional of the shape grows without bound, and ``closed_ode``
-integrates that functional in closed form where an antiderivative is
-known: given the lower limit it does the lower-limit work once and
-returns the integral as a function of the upper limit.  The gain-time
-functional is only evaluated, by quadrature, so shapes carry no closed
-form or divergence rule for it.  ``classify_regime`` is the function
+integrates that functional in closed form for the shapes that serve as
+comparison scales (``power``, and ``powerlog`` with power 1): given the
+lower limit it does the lower-limit work once and returns the integral
+as a function of the upper limit.  The other shapes' ode-time
+functionals are integrated by quadrature.  The gain-time functional is
+only evaluated, by quadrature, so shapes carry no closed form or
+divergence rule for it.  ``classify_regime`` is the function
 form of ``regime()``, and ``limit_probe`` renders an empirical verdict on
 a limit of a ratio of two shapes along a ladder of log-scales;
 predictions use it to check their dominance hypotheses before committing
@@ -126,20 +128,11 @@ _UNSUPPORTED = Regime(RegimeKind.UNSUPPORTED)
 #
 # Everything is expressed in u = log x.  ``closed_ode(la)`` returns the
 # unscaled integral of the ode-time functional over [la, u] as a function
-# of u, or None when only quadrature will do.  The lower term is computed
-# once, when the function is built.
-
-_SQRT_PI_HALF = 0.5 * math.sqrt(math.pi)
+# of u, or None when only quadrature will do.  Only the comparison scales
+# of the rate laws are integrated in closed form, since only they are
+# inverted.  The lower term is computed once, when the function is built.
 
 ClosedForm = Callable[[float], float]
-
-
-def _closed_power(c: float, beta: float, la: float) -> ClosedForm:
-    if beta == 1.0:
-        return lambda u: (u - la) / c
-    k = 1.0 - beta
-    lo, ck = _exp(k * la), c * k
-    return lambda u: (_exp(k * u) - lo) / ck
 
 
 @dataclass(frozen=True)
@@ -197,11 +190,8 @@ class CoefficientSpec:
         return _UNSUPPORTED
 
     def reciprocal_diverges(self) -> bool:
-        """Whether the integral of 1/F over [a, inf) diverges.
-
-        This is the no-finite-time-explosion condition for an instantaneous
-        term, and the divergence rule for the ode-time functional.
-        """
+        """Whether the integral of 1/F over [a, inf) diverges: the
+        divergence rule of the ode-time functional."""
         raise DomainError(f"no divergence rule for {self!r}")
 
     def closed_ode(self, la: float) -> ClosedForm | None:
@@ -264,8 +254,12 @@ class Power(CoefficientSpec):
         return self.exponent <= 1
 
     def closed_ode(self, la: float) -> ClosedForm:
-        return _closed_power(self.coefficient, self.exponent, la)
-        return None
+        c, beta = self.coefficient, self.exponent
+        if beta == 1.0:
+            return lambda u: (u - la) / c
+        k = 1.0 - beta
+        lo, ck = _exp(k * la), c * k
+        return lambda u: (_exp(k * u) - lo) / ck
 
 
 @dataclass(frozen=True)
@@ -317,18 +311,6 @@ class LinTimesExpLogPow(CoefficientSpec):
         # 1/F integrates like exp(-(log u)^alpha) d(log u): finite
         return False
 
-    def closed_ode(self, la: float) -> ClosedForm:
-        # integrand e^{-w^alpha}/c; substitute s = w^alpha.  scipy is
-        # imported here, not at module level: it costs most of the package's
-        # import time and only this closed form needs it
-        from scipy.special import gammainc
-
-        alpha, c = self.exponent, self.coefficient
-        a = 1.0 / alpha
-        lo = float(gammainc(a, _pow(la, alpha)))
-        front = math.gamma(a) * a
-        return lambda u: front * (float(gammainc(a, _pow(u, alpha))) - lo) / c
-
 
 @dataclass(frozen=True)
 class ExpLogPow(CoefficientSpec):
@@ -358,14 +340,6 @@ class ExpLogPow(CoefficientSpec):
 
     def reciprocal_diverges(self) -> bool:
         return self.exponent <= 1
-
-    def closed_ode(self, la: float) -> ClosedForm | None:
-        if self.exponent == 2.0:
-            # integrand e^{w - w^2}/c; complete the square
-            front = math.exp(0.25) * _SQRT_PI_HALF / self.coefficient
-            lo = math.erf(la - 0.5)
-            return lambda u: front * (math.erf(u - 0.5) - lo)
-        return None
 
 
 @dataclass(frozen=True)
@@ -417,12 +391,9 @@ class PowerLog(CoefficientSpec):
         return False
 
     def closed_ode(self, la: float) -> ClosedForm | None:
-        c = self.coefficient
-        if self.log_power == 0.0:
-            return _closed_power(c, self.power, la)
         if self.power == 1.0:
             # integrand (in w) is w^{-gamma}/c; lower > 1 keeps la positive
-            g = self.log_power
+            c, g = self.coefficient, self.log_power
             if g == 1.0:
                 lo = math.log(la)
                 return lambda u: (math.log(u) - lo) / c

@@ -20,9 +20,11 @@ its logarithm.
 All evaluation happens in the substituted variable w = log u, and each
 family has only the routes the verifier takes:
 - ode-time functionals are integrated by the shape's own ``closed_ode``
-  where it has one, and by quadrature otherwise; they answer whether
-  they diverge through ``reciprocal_diverges``, and only a closed form
-  is inverted (for envelopes);
+  where it has one (``power``, ``powerlog`` with power 1 and
+  ``NestedLogProduct``, the shapes of the rate laws' comparison scales),
+  and by quadrature otherwise; they answer whether they diverge through
+  ``reciprocal_diverges``, and only a closed form is inverted (for
+  envelopes);
 - gain-time functionals are only evaluated, by quadrature: they are never
   inverted and have no divergence rule.
 The quadrature is an adaptive Gauss-Legendre scheme on the transformed

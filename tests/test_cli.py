@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -480,15 +481,39 @@ def package_env():
 
 @pytest.mark.parametrize("package", ["scipy", "sympy", "mpmath"])
 def test_importing_the_cli_does_not_load(package):
-    # scipy.special is most of the import time; only the RV1 ode-time
-    # closed form needs it, and it imports it when called.  sympy and
-    # mpmath are test-only dependencies, which the package never loads
+    # scipy, sympy and mpmath are test-only dependencies, which the
+    # package never loads: numpy is its only one at run time
     code = ("import sys, delaygrowth.cli; "
             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             env=package_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_every_config_runs_without_scipy(tmp_path):
+    # a None entry in sys.modules makes every import of scipy fail; each
+    # config runs with and without out=, and exits 0 as test_configs pins
+    configs = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
+    code = f"""
+import contextlib, io, json, pathlib, sys
+sys.modules["scipy"] = None
+from delaygrowth.cli import main
+exits = []
+for path in map(pathlib.Path, {[str(p) for p in configs]!r}):
+    out = pathlib.Path({str(tmp_path)!r}) / (path.stem + ".csv")
+    for argv in ([str(path)], [str(path), f"out={{out}}"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            exits.append(main(argv))
+print(json.dumps(exits))
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=package_env(), timeout=300)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    assert json.loads(result.stdout) == [0] * (2 * len(configs))
+    # every command but chareq writes its out= file
+    assert {p.stem for p in tmp_path.glob("*.csv")} == {p.stem for p in configs} - {"chareq_unit"}
 
 
 def test_a_closed_stdout_exits_141_in_silence():

@@ -55,24 +55,6 @@ def test_powerlog_unit_power():
     assert evaluate(F2, 2.0) == pytest.approx(0.5)                # 1 - 1/log x
 
 
-def test_powerlog_zero_log_power_matches_power():
-    F = ode_time(PowerLog(3.0, 2.0, 0.0), 2.0)
-    assert evaluate(F, math.log(4.0)) == pytest.approx((0.5 - 0.25) / 3.0)
-
-
-def test_rv1_shape_incomplete_gamma_form():
-    F = ode_time(LinTimesExpLogPow(1.0, 0.5), 1.0)
-    # integral of e^{-sqrt(w)} dw from 0 to 4 is 2 - 6 e^{-2}
-    assert evaluate(F, 4.0) == pytest.approx(2.0 - 6.0 * math.exp(-2.0), rel=1e-12)
-
-
-def test_square_log_exponent_erf_form():
-    F = ode_time(ExpLogPow(1.0, 2.0), 1.0)
-    expected = (math.exp(0.25) * 0.5 * math.sqrt(math.pi)
-                * (math.erf(0.5) - math.erf(-0.5)))
-    assert evaluate(F, 1.0) == pytest.approx(expected, rel=1e-12)
-
-
 def test_nested_log_product_iterated_log_form():
     phi = NestedLogProduct()
     F = ode_time(phi, math.e)
@@ -89,6 +71,29 @@ def test_gain_time_of_a_linear_shape_is_log_x_over_log1p_c():
     assert evaluate(F, 2.0) == pytest.approx(2.0 / math.log1p(3.0))
     F2 = gain_time(Power(2.0, 1.0))
     assert evaluate(F2, 5.0) == pytest.approx(5.0 / math.log1p(2.0))
+
+
+# ---------------------------------------------------------------------------
+# quadrature against hand antiderivatives: shapes that are no comparison
+# scale have no closed form, however simple their antiderivative
+
+def test_powerlog_zero_log_power_quadrature_matches_power():
+    F = ode_time(PowerLog(3.0, 2.0, 0.0), 2.0)
+    assert evaluate(F, math.log(4.0)) == pytest.approx((0.5 - 0.25) / 3.0)
+
+
+def test_rv1_shape_quadrature_matches_the_incomplete_gamma_value():
+    F = ode_time(LinTimesExpLogPow(1.0, 0.5), 1.0)
+    # integral of e^{-sqrt(w)} dw from 0 to 4 is 2 - 6 e^{-2}
+    assert evaluate(F, 4.0) == pytest.approx(2.0 - 6.0 * math.exp(-2.0), rel=1e-12)
+
+
+def test_square_log_exponent_quadrature_matches_the_erf_value():
+    F = ode_time(ExpLogPow(1.0, 2.0), 1.0)
+    # integrand e^{w - w^2}; complete the square
+    expected = (math.exp(0.25) * 0.5 * math.sqrt(math.pi)
+                * (math.erf(0.5) - math.erf(-0.5)))
+    assert evaluate(F, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +155,7 @@ def test_gain_time_refuses_shapes_vanishing_at_one():
         gain_time(PowerLog(1.0, 1.0, 1.0))
 
 
-def test_closed_forms_agree_with_quadrature_route():
-    # same functional, both routes; closed form is the reference here
+def test_rv1_shape_quadrature_matches_the_reference_far_out():
     coeff = LinTimesExpLogPow(1.0, 0.5)
     F = ode_time(coeff, 1.0)
     ref, _ = quad(lambda w: math.exp(-math.sqrt(w)), 0.0, 25.0, limit=200)
@@ -270,9 +274,9 @@ def outcome(fn, *args):
 CLOSED_DIVERGING = [
     ode_time(Constant(2.0), 1.0),
     ode_time(Power(1.0, 0.5), math.e),
+    ode_time(Power(2.0, 0.5), 1.5),
     ode_time(Power(3.0, 1.0), 2.0),
     ode_time(Linear(3.0), 2.0),
-    ode_time(PowerLog(2.0, 0.5, 0.0), 1.5),
     ode_time(PowerLog(1.0, 1.0, 1.0), math.e),
     ode_time(PowerLog(1.0, 1.0, 0.5), math.e),
     ode_time(PowerLog(1.0, 1.0, -2.0), 2.0),
@@ -282,6 +286,7 @@ CLOSED_DIVERGING = [
 # functionals evaluated by quadrature: diverging ode-time shapes without a
 # closed form, and every gain-time functional
 QUADRATURE = [
+    ode_time(PowerLog(2.0, 0.5, 0.0), 1.5),
     ode_time(PowerLog(2.0, 0.5, -1.0), 3.0),
     ode_time(ExpLogPow(1.0, 0.5), 1.0),
     ode_time(ExpLogPow(1.0, 1.0), 1.0),
@@ -408,9 +413,7 @@ def test_invert_many_checks_everything_before_any_probe(probes, F, ys, bad):
 # batch evaluation against pointwise evaluation
 
 @settings(max_examples=60, deadline=None)
-@given(F=st.sampled_from(CLOSED_DIVERGING + [ode_time(Power(1.0, 2.0), 1.0),
-                                             ode_time(LinTimesExpLogPow(1.0, 0.5), 1.0),
-                                             ode_time(ExpLogPow(1.0, 2.0), 1.0)]),
+@given(F=st.sampled_from(CLOSED_DIVERGING + [ode_time(Power(1.0, 2.0), 1.0)]),
        offsets=st.lists(st.floats(0.0, 800.0), max_size=12),
        scale=st.sampled_from([1.0, 0.37, 5.0]))
 def test_evaluate_many_is_evaluate_bit_for_bit_on_closed_forms(F, offsets, scale):

@@ -76,8 +76,8 @@ def test_log_term_matches_50_digits(shape, u):
 
 @symbolic
 @given(shape=nonzero_shapes, la=small(0, 4), width=small("1/4", 8))
-@example(shape=ExpLogPow(2.0, 2.0), la=Fraction(1, 2), width=Fraction(3))
-@example(shape=LinTimesExpLogPow(1.0, 0.5), la=Fraction(0), width=Fraction(9))
+@example(shape=PowerLog(2.0, 1.0, 1.0), la=Fraction(1, 2), width=Fraction(3))
+@example(shape=Power(2.0, 0.5), la=Fraction(0), width=Fraction(9))
 @example(shape=Power(1.5, 1.0), la=Fraction(1), width=Fraction(5))
 @example(shape=PowerLog(1.0, 1.0, 2.0), la=Fraction(1, 4), width=Fraction(6))
 @example(shape=NestedLogProduct(), la=Fraction(1), width=Fraction(8))

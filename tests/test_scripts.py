@@ -22,12 +22,3 @@ def test_run_regimes_reports_every_regime():
     lines = result.stdout.splitlines()
     assert lines.count("verdict: PASS") == 4
     assert "truncated: True after 119 steps (t = 14.875)" in lines
-
-
-def test_sweep_step_sizes_prints_both_tables():
-    result = run_script("sweep_step_sizes.py")
-    assert result.returncode == 0, result.stderr
-    text = result.stdout
-    assert "polynomial delayed term g(x) = x^2" in text
-    assert "proportional delayed term g(x) = x" in text
-    assert text.count("extrapolated h->0:") == 2
