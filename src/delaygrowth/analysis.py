@@ -514,13 +514,13 @@ def envelope_check(scenario: Scenario, eps: float) -> EnvelopeCheckResult:
     params = derive_envelope_params(scenario, eps)
     trajectory = simulate_euler(scenario)
     functional = params.functional
-    slope = 1.0 + params.eps
+    slope, h = 1.0 + params.eps, trajectory.h
     la = functional.log_lower
     states = trajectory.log_states.tolist()
     above = [(n, state) for n, state in zip(trajectory.indices(), states) if state >= la]
     values = evaluate_many(functional, [state for _, state in above])
     violations = tuple(n for (n, _), value in zip(above, values)
-                       if not value < slope * trajectory.time(n) + params.offset)
+                       if not value < slope * (n * h) + params.offset)
     return EnvelopeCheckResult(params=params, checked=len(trajectory.log_states),
                                violations=violations, trajectory=trajectory)
 
@@ -528,9 +528,9 @@ def envelope_check(scenario: Scenario, eps: float) -> EnvelopeCheckResult:
 def envelope_margins(trajectory: Trajectory, params: EnvelopeParams,
                      ) -> list[tuple[int, float, float]]:
     """Samples (n, log x_n, log envelope_n); inf where the envelope overflows."""
-    slope = 1.0 + params.eps
+    slope, h = 1.0 + params.eps, trajectory.h
     indices = trajectory.indices()
-    bounds = [slope * trajectory.time(n) + params.offset for n in indices]
+    bounds = [slope * (n * h) + params.offset for n in indices]
     return list(zip(indices, trajectory.log_states.tolist(),
                     invert_many(params.functional, bounds)))
 

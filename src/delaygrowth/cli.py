@@ -250,8 +250,8 @@ def cmd_envelope(config: RunConfig) -> int:
     print(f"holds: {'yes' if check.holds else 'no'}")
     out = config.values.get("out")
     if out is not None:
-        trajectory = check.trajectory
-        rows = [f"{n},{repr(trajectory.time(n))},{repr(state)},{repr(env)}"
+        trajectory, h = check.trajectory, check.trajectory.h
+        rows = [f"{n},{repr(n * h)},{repr(state)},{repr(env)}"
                 for n, state, env in envelope_margins(trajectory, params)]
         text = _csv("n,t,log_x,envelope", rows)
         _write_out(out, lambda handle: handle.write(text))

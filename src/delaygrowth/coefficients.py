@@ -29,8 +29,9 @@ ode-time functional of the shape grows without bound, and ``closed_ode``
 integrates that functional in closed form for the shapes that serve as
 comparison scales (``power``, and ``powerlog`` with power 1): given the
 lower limit it does the lower-limit work once and returns the integral
-as a function of the upper limit.  The other shapes' ode-time
-functionals are integrated by quadrature.  The gain-time functional is
+as a function of the upper limit; ``closed_ode_inverse`` is that
+function's exact inverse, with a bound on its rounding.  The other
+shapes' ode-time functionals are integrated by quadrature.  The gain-time functional is
 only evaluated, by quadrature, so shapes carry no closed form or
 divergence rule for it.  ``classify_regime`` is the function
 form of ``regime()``, and ``limit_probe`` renders an empirical verdict on
@@ -131,8 +132,34 @@ _UNSUPPORTED = Regime(RegimeKind.UNSUPPORTED)
 # of u, or None when only quadrature will do.  Only the comparison scales
 # of the rate laws are integrated in closed form, since only they are
 # inverted.  The lower term is computed once, when the function is built.
+#
+# ``closed_ode_inverse(la)`` returns, next to each closed form, a function
+# from an unscaled value Y to (u, slack), or None where the inverse is not
+# finite or cannot be computed (overflow, or the log or root of a value
+# <= 0).  u is the closed form's exact inverse at Y, evaluated in floats.
+# ``functionals.invert_many`` decides bisection steps from these pairs
+# without probing, so slack bounds, in u, every rounding that can separate
+# a probe's verdict from the exact functional V (exact parameters, exact
+# arithmetic) near u:
+# - the closed form's forward error at a point m, over the slope V'(m),
+#   with the division by the functional's scale;
+# - the error of u itself;
+# - the rounding of y -+ tol, of y * scale and of the test |V - y| <= tol:
+#   at most e R each, with R = V / V', or e times the window's width,
+#   which is below twice the larger |u| of its two ends.
+# Sums are to first order in the unit roundoff e = 2^-53, with + - * /
+# within e relative and math's exp, log, log1p, expm1 and ** within 2e.
+# Each shape's sum is rounded up and multiplied by 2^10 (``_SLACK`` is
+# e * 2^10).  Every bound grows with m at a slope far below 1 (for a
+# diverging functional), so a midpoint farther than slack from a window
+# edge gets the verdict that edge would get.  The headroom covers the
+# second-order terms and the zone edges' own rounding (e |u|).
 
 ClosedForm = Callable[[float], float]
+# unscaled value Y -> (u, slack) or None; see above
+ClosedInverse = Callable[[float], tuple[float, float] | None]
+
+_SLACK = 2.0 ** -43
 
 
 @dataclass(frozen=True)
@@ -198,6 +225,10 @@ class CoefficientSpec:
         """u -> integral of e^w / F(e^w) over [la, u], or None without a closed form."""
         return None
 
+    def closed_ode_inverse(self, la: float) -> ClosedInverse | None:
+        """The inverse of ``closed_ode(la)`` with its slack, or None without a closed form."""
+        return None
+
     def __str__(self) -> str:
         return _format_call(self, _SHAPES)
 
@@ -260,6 +291,39 @@ class Power(CoefficientSpec):
         k = 1.0 - beta
         lo, ck = _exp(k * la), c * k
         return lambda u: (_exp(k * u) - lo) / ck
+
+    def closed_ode_inverse(self, la: float) -> ClosedInverse:
+        c, beta = self.coefficient, self.exponent
+        if beta == 1.0:
+            # V = (u - la)/c, R = u - la.  Forward: the subtraction, c, the
+            # two divisions, 4eR; u = la + cY: 3eR + e|u|; y -+ tol and the
+            # test: eR + 2e|u|.  8R + 3|u| <= 12 (|u| + |la|).
+            def inverse(y: float) -> tuple[float, float]:
+                u = la + c * y
+                return u, _SLACK * 12.0 * (abs(u) + abs(la))
+            return inverse
+        # V = (e^{ku} - e^{k la})/(ck), k = 1 - beta; with a = e^{ku},
+        # V' = a/c, R = cY/a and q = max(1, e^{k la}/a) (q > 1 only for
+        # beta > 1, a bounded functional).  Forward: ku and the exp,
+        # 2e(|ku| + 1) relative on e^{ku}, the same on e^{k la}, then the
+        # subtraction, ck and two divisions, 5e|D| on D = e^{ku} - e^{k la};
+        # over the slope k a that is q e(2|u| + 2|la| + 4/|k|) + 5eR.
+        # u = log(e^{k la} + ckY)/k: the sum is off by q e(2|k la| + 7)
+        # relative, the log adds 2e|ku|, k and the division 2e|u|, so
+        # q e(2|la| + 7/|k|) + 4e|u|.  y -+ tol and the test: eR + 2e|u|.
+        # Sum: q e(8|u| + 4|la| + 11/|k|) + 6eR.
+        k = 1.0 - beta
+        lo, ck = _exp(k * la), c * k
+
+        def inverse(y: float) -> tuple[float, float] | None:
+            a = lo + ck * y
+            if not a > 0.0:
+                return None
+            u = math.log(a) / k
+            q = max(1.0, lo / a)
+            return u, _SLACK * (q * (8.0 * abs(u) + 4.0 * abs(la) + 12.0 / abs(k))
+                                + 8.0 * c * y / a)
+        return inverse
 
 
 @dataclass(frozen=True)
@@ -401,6 +465,47 @@ class PowerLog(CoefficientSpec):
             lo, ck = _pow(la, k), c * k
             return lambda u: (_pow(u, k) - lo) / ck
         return None
+
+    def closed_ode_inverse(self, la: float) -> ClosedInverse | None:
+        if self.power != 1.0:
+            return None
+        c, g = self.coefficient, self.log_power
+        if g == 1.0:
+            # V = (log u - log la)/c, w = log u: V' = 1/(cu), R = u cY.
+            # Forward: both logs, the subtraction, c and two divisions,
+            # u e(2|w| + 2|log la|) + 4eR.  u = exp(log la + cY):
+            # 3eR + u e(2|log la| + |w| + 2).  y -+ tol and the test:
+            # eR + 2eu.  Sum: u e(3|w| + 4|log la| + 4) + 8eR.
+            lo = math.log(la)
+
+            def inverse(y: float) -> tuple[float, float]:
+                w = lo + c * y
+                u = _exp(w)
+                return u, _SLACK * u * (3.0 * abs(w) + 4.0 * abs(lo) + 4.0 + 8.0 * c * y)
+            return inverse
+        # V = (u^k - la^k)/(ck), k = 1 - gamma; with a = u^k, V' = a/(cu),
+        # R = u cY/a and q = max(1, la^k/a) (q > 1 only for gamma > 1, a
+        # bounded functional).  Forward: the power, 2e + e|kw| relative on
+        # u^k (w = log u), the same on la^k, then the subtraction, ck and
+        # two divisions, 5e|D|; over the slope k a/u that is
+        # u e(q(4/|k| + |log la|) + |w|) + 5eR.  u = (la^k + ckY)^(1/k):
+        # the sum is off by q e(7 + |k log la|) relative, 1/k by 2e, the
+        # power by 2e, so u e(q(7/|k| + |log la|) + 2|w| + 2).  y -+ tol
+        # and the test: eR + 2eu.
+        # Sum: u e(q(11/|k| + 2|log la|) + 3|w| + 4) + 6eR.
+        k = 1.0 - g
+        lo, ck, log_la = _pow(la, k), c * k, abs(math.log(la))
+
+        def inverse(y: float) -> tuple[float, float] | None:
+            a = lo + ck * y
+            if not a > 0.0:
+                return None
+            u = _pow(a, 1.0 / k)
+            q = max(1.0, lo / a)
+            w = math.log(a) / k
+            return u, _SLACK * u * (q * (12.0 / abs(k) + 2.0 * log_la) + 3.0 * abs(w)
+                                    + 4.0 + 8.0 * c * y / a)
+        return inverse
 
 
 def classify_regime(g: CoefficientSpec) -> Regime:

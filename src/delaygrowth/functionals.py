@@ -40,7 +40,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .coefficients import ClosedForm, CoefficientSpec, Zero, _exp, _positive
+from .coefficients import (
+    _SLACK, ClosedForm, ClosedInverse, CoefficientSpec, Zero, _exp, _positive,
+)
 from .errors import DomainError, HorizonExceeded, NumericError
 
 __all__ = [
@@ -90,6 +92,31 @@ class NestedLogProduct(CoefficientSpec):
         # 1/phi integrates to the triple log of 1 + x
         lo = self._chain(la)[2]
         return lambda u: self._chain(u)[2] - lo
+
+    def closed_ode_inverse(self, la: float) -> ClosedInverse:
+        # V = l3 - l3(la) with s = log(1+x), l2 = log s, l3 = log l2, so
+        # V' = sigmoid(u)/(s l2) and 1/V' <= 1.6 s l2 (u > 0.54 on the
+        # domain); la2 = l2(la).  Forward: s within 5es, l2 within
+        # 5e + 2e l2, l3 within 5e/l2 + 2e + 2e|l3|, the same at la, then
+        # the subtraction and the scale, 3e|D|; over the slope that is
+        # 1.6 e s(5 + 5 l2/la2 + l2(4 + 2|l3| + 2|l3(la)| + 3|D|)).
+        # u = s + log(-expm1(-s)) from l3 = l3(la) + Y: l3 is off by
+        # e(5/la2 + 2 + 2|l3(la)| + |Y| + |l3|), each exp passes that on
+        # times its own value plus 2e, and du/ds <= 1.6, so
+        # 1.6 e s(l2(5/la2 + 4 + 2|l3(la)| + |Y| + |l3|) + 2) + 3e + eu.
+        # y -+ tol and the test: eR + 2eu, with R <= 1.6 s l2 |Y|.
+        # Sum, with u <= s and |D| <= |Y|:
+        # e s(18 + 16 l2/la2 + l2(13 + 5|l3| + 7|l3(la)| + 8|Y|)).
+        _, la2, lo = self._chain(la)
+
+        def inverse(y: float) -> tuple[float, float]:
+            l3 = lo + y
+            l2 = _exp(l3)
+            s = _exp(l2)
+            u = s + math.log(-math.expm1(-s))
+            return u, _SLACK * s * (20.0 * (1.0 + l2 / la2)
+                                    + l2 * (16.0 + 8.0 * (abs(l3) + abs(lo) + y)))
+        return inverse
 
     @property
     def domain_threshold(self) -> float:
@@ -325,6 +352,34 @@ def _bracket_exponent(value_at: Callable[[float], float], la: float, y: float,
     return j
 
 
+# no midpoint certified: (go right below, stop above, stop below, go left above)
+_NO_ZONES = (-math.inf, math.inf, -math.inf, math.inf)
+
+
+def _zones(inverse: ClosedInverse, y: float, tol: float,
+           scale: float) -> tuple[float, float, float, float]:
+    """Where a bisection midpoint's verdict on y is certified without a probe.
+
+    With u-+ the shape's inverses at y -+ tol and slack the larger of their
+    slacks (see ``coefficients.closed_ode_inverse``), a midpoint below
+    u- - slack falls short of y by more than tol, one above u+ + slack
+    passes it by more than tol, and one strictly inside
+    (u- + slack, u+ - slack) is within tol.  Nothing is certified when
+    y - tol <= 0 or either inverse is missing or not finite.
+    """
+    below = y - tol
+    if not below > 0.0:
+        return _NO_ZONES
+    ends = inverse(below * scale), inverse((y + tol) * scale)
+    if None in ends:
+        return _NO_ZONES
+    (u_lo, slack_lo), (u_hi, slack_hi) = ends
+    slack = max(slack_lo, slack_hi)
+    if not (math.isfinite(u_lo - slack) and math.isfinite(u_hi + slack)):
+        return _NO_ZONES
+    return u_lo - slack, u_lo + slack, u_hi - slack, u_hi + slack
+
+
 def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float]:
     """log x such that F(x)/scale = y, for each y; inf where that is past the log range.
 
@@ -334,11 +389,13 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
     is inverted; any other raises DomainError.  That, every value, and
     whether F diverges are checked before the first probe.  Consecutive
     values share work: F at the bracket ends la + 2^j does not depend on
-    y, so each is probed once per call; a value at or above the last
+    y, so each is probed once per call, and a value at or above the last
     bracketed one resumes the bracket search at that one's j, since the
-    least j can only grow; and each bisection reuses the (mid, F(mid))
-    pairs of the previous one along their common prefix, where the
-    midpoints are the same doubles.  Only that previous path is kept.
+    least j can only grow.  The bisection itself probes only near the
+    tolerance window: the shape's exact inverse at y -+ tol, with its
+    rounding slack, decides every midpoint farther than the slack from
+    the window's edges (see ``_zones``), and those verdicts are the ones
+    a probe would give, so the midpoints and the result are the same.
     """
     closed = _closed(functional)
     if closed is None:
@@ -350,8 +407,9 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
     if any(y < math.inf for y in values) and not diverges(functional):
         raise DomainError(
             f"{functional.describe()} is bounded; its inverse is not defined for all values")
-    la = functional.log_lower
+    la, scale = functional.log_lower, functional.scale
     value_at = _evaluator(functional, closed)
+    inverse = functional.coeff.closed_ode_inverse(la)
     rungs: dict[float, float] = {}  # F at la + 2^j; at most _TOP_DOUBLING + 1 entries
 
     def rung(hi: float) -> float:
@@ -359,7 +417,6 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
             rungs[hi] = value_at(hi)
         return rungs[hi]
 
-    path: list[tuple[float, float]] = []  # (mid, F(mid)) along the last bisection
     last_y, last_j = math.inf, 0  # the last bracketed value and its j
     out = []
     for y in values:
@@ -374,20 +431,23 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
             out.append(math.inf)
             continue
         tol = 1e-9 * (1.0 + abs(y))
-        for k in range(INVERT_MAX_ITERS):
+        right, inside_lo, inside_hi, left = _zones(inverse, y, tol, scale)
+        for _ in range(INVERT_MAX_ITERS):
             mid = 0.5 * (lo + hi)
-            if k < len(path) and path[k][0] == mid:
-                val = path[k][1]
+            if mid < right:
+                lo = mid
+            elif mid > left:
+                hi = mid
+            elif inside_lo < mid < inside_hi:
+                break
             else:
                 val = value_at(mid)
-                del path[k:]
-                path.append((mid, val))
-            if abs(val - y) <= tol:
-                break
-            if val < y:
-                lo = mid
-            else:
-                hi = mid
+                if abs(val - y) <= tol:
+                    break
+                if val < y:
+                    lo = mid
+                else:
+                    hi = mid
         else:
             raise NumericError(f"inversion of {functional.describe()} at {y!r} did not converge")
         out.append(mid)

@@ -86,6 +86,25 @@ def quad(integrand: sp.Expr, lo: float, hi: float) -> mpmath.mpf:
         return mpmath.quad(fn, [mpmath.mpf(lo), mpmath.mpf(hi)])
 
 
+def ode_value(shape, la: float, u: float) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The ode-time functional of ``shape`` over [la, u] and its slope at u.
+
+    Both at ``DIGITS`` digits.  ``mpmath.quad`` runs over pieces ending at
+    la + (2^j - 1) a, with a = |la| (1 when la = 0): where la > 0 those
+    ends are la 2^j, so an integrand like 1/w varies by at most a factor
+    of two on a piece, however far u lies.
+    """
+    with mpmath.workdps(DIGITS):
+        fn = sp.lambdify(w, ode_integrand(shape), "mpmath")
+        lo, hi = mpmath.mpf(la), mpmath.mpf(u)
+        step = abs(lo) or mpmath.mpf(1)
+        ends = [lo]
+        while ends[-1] + step < hi:
+            ends.append(ends[-1] + step)
+            step *= 2
+        return mpmath.quad(fn, ends + [hi]), fn(hi)
+
+
 def limit(expr: sp.Expr, var: sp.Symbol = x) -> sp.Expr:
     """The exact limit of ``expr`` as ``var`` tends to infinity."""
     return sp.limit(expr, var, sp.oo)

@@ -581,16 +581,30 @@ def test_envelope_margins_report_overflowing_levels_as_inf():
     assert rows[-1][2] >= rows[0][2]
 
 
-def test_envelope_margins_share_probes_across_the_column(probes):
+# config -> rows and probes of its margin column; one invert per row needed
+# 36.7 probes per row on envelope_rv1, and a column whose bisections probed
+# every midpoint 15.6 per row on envelope_sublinear
+MARGIN_COLUMNS = {
+    "envelope_rv1": (1605, 31),
+    "envelope_sublinear": (20011, 168),
+    "envelope_poly": (2405, 912),
+}
+
+
+@pytest.mark.parametrize("name", MARGIN_COLUMNS)
+def test_envelope_margins_share_probes_across_the_column(probes, name):
     # the column inverts (1+eps) t + offset at every step, so its values
-    # ascend; one invert per row needed 36.7 probes per row here
-    config = load_config([str(ROOT / "configs" / "envelope_rv1.cfg")])
+    # ascend; a bisection probes only near its tolerance window, and the
+    # rest of envelope_poly's probes are bracket ends
+    config = load_config([str(ROOT / "configs" / f"{name}.cfg")])
     sc = build_scenario(config)
     params = derive_envelope_params(sc, config.get_float("eps"))
     traj = simulate_euler(sc)
+    probes.clear()
     rows = envelope_margins(traj, params)
-    assert len(rows) == 1605
-    assert len(probes) <= 22 * len(rows)
+    n_rows, n_probes = MARGIN_COLUMNS[name]
+    assert len(rows) == n_rows
+    assert len(probes) <= n_probes
 
     def per_row(n):
         try:

@@ -5,7 +5,7 @@ import re
 from dataclasses import dataclass, replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from delaygrowth.coefficients import (
@@ -307,10 +307,12 @@ def test_the_catalog_lists_are_what_they_say():
     for F in CLOSED_DIVERGING:
         assert diverges(F)
         assert _closed(F) is not None
+        assert F.coeff.closed_ode_inverse(F.log_lower) is not None
     for F in QUADRATURE:
         assert _closed(F) is None
         if F.kind is FunctionalKind.ODE_TIME:
             assert diverges(F)
+            assert F.coeff.closed_ode_inverse(F.log_lower) is None
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.37, 5.0])
@@ -407,6 +409,73 @@ def test_invert_many_checks_everything_before_any_probe(probes, F, ys, bad):
         invert(F, bad)
     assert str(many.value) == str(one.value)
     assert probes == []
+
+
+def _rung_value(F, scale, j):
+    """F/scale at the bracket end la + 2^j."""
+    F = replace(F, scale=scale)
+    return evaluate(F, F.log_lower + 2.0 ** j)
+
+
+_SQRT = ode_time(Power(1.0, 0.5), math.e)
+_LOGLOG = ode_time(PowerLog(1.0, 1.0, 1.0), math.e)
+_NESTED = ode_time(NestedLogProduct(), math.e)
+# la + 2^996 is the last bracket end inside the log range, so F there is
+# the largest value with a finite inverse
+_TOP = _rung_value(_NESTED, 1.0, 996)
+
+
+@settings(max_examples=60, deadline=None)
+@given(F=st.sampled_from(CLOSED_DIVERGING), scale=st.sampled_from([1.0, 0.37, 5.0]),
+       ys=st.lists(st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e), min_size=1, max_size=6))
+@example(F=ode_time(Constant(2.0), 1.0), scale=1.0, ys=[1e-12, 5e-324, 1e-9])
+@example(F=_SQRT, scale=0.37, ys=[_rung_value(_SQRT, 0.37, 3)])
+@example(F=_LOGLOG, scale=5.0, ys=[_rung_value(_LOGLOG, 5.0, j) for j in (0, 4, 9)])
+@example(F=_NESTED, scale=1.0, ys=[_TOP, math.nextafter(_TOP, math.inf), _TOP])
+def test_invert_many_is_the_scan_per_value_on_drawn_values(F, scale, ys):
+    F = replace(F, scale=scale)
+    assert [v.hex() for v in invert_many(F, ys)] == [scanned(F, y) for y in ys]
+
+
+# ---------------------------------------------------------------------------
+# the shapes' exact inverses
+
+@pytest.mark.parametrize("F", CLOSED_DIVERGING, ids=GrowthFunctional.describe)
+def test_inverses_are_within_their_slack_of_the_oracle(F):
+    # the slack is a first-order rounding bound times 2^10; without the
+    # headroom it must still cover the inverse's error and the closed
+    # form's own error at the inverse, both against 50 digits
+    shape, la = F.coeff, F.log_lower
+    inverse, closed = shape.closed_ode_inverse(la), shape.closed_ode(la)
+    for y in INVERT_YS:
+        u, slack = inverse(y)
+        if not math.isfinite(u):
+            assert closed(INVERT_LOG_RANGE) < y
+            continue
+        value, slope = oracle.ode_value(shape, la, u)
+        error = abs(value - y) / slope + abs(closed(u) - value) / slope
+        assert error <= slack * 2.0 ** -10, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(F=st.sampled_from(CLOSED_DIVERGING), e=st.floats(-12.0, 12.0))
+def test_inverses_round_trip_through_the_closed_forms(F, e):
+    shape, la, y = F.coeff, F.log_lower, 10.0 ** e
+    u, slack = shape.closed_ode_inverse(la)(y)
+    if not math.isfinite(u):
+        assert shape.closed_ode(la)(INVERT_LOG_RANGE) < y
+        return
+    assert u >= la - slack
+    slope = math.exp(u - shape.value_log(u))    # the integrand e^u / F(e^u)
+    assert abs(shape.closed_ode(la)(u) - y) <= slack * 2.0 ** -10 * slope
+
+
+@pytest.mark.parametrize("shape,la,y", [
+    (Power(1.0, 2.0), 0.0, 1.0),              # the sup of a bounded functional
+    (PowerLog(1.0, 1.0, 3.0), 1.0, 0.5),      # the same with a log power
+])
+def test_inverses_give_none_where_no_value_is_reached(shape, la, y):
+    assert shape.closed_ode_inverse(la)(y) is None
 
 
 # ---------------------------------------------------------------------------
