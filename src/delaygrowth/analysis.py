@@ -466,7 +466,7 @@ def derive_envelope_params(scenario: Scenario, eps: float) -> EnvelopeParams:
             return False
         try:
             ahead = invert(functional, evaluate(functional, u) + advance)
-        except (HorizonExceeded, NumericError):
+        except HorizonExceeded:
             # the functional's value outruns double range at this rung;
             # the per-step check downstream still covers such scales
             return None

@@ -24,14 +24,15 @@ table pattern.  ``str`` of a tabled shape or history is its parsable text.
 and 1: they differ from it only in their syntax and error messages.
 
 Each shape owns its mathematics: ``regime()`` names the growth regime that
-fixes which rate law applies, ``reciprocal_diverges()`` says whether the
-ode-time functional of the shape grows without bound, and ``closed_ode``
-integrates that functional in closed form for the shapes that serve as
+fixes which rate law applies, and ``closed_ode`` integrates the shape's
+ode-time functional in closed form for the shapes that serve as
 comparison scales (``power``, and ``powerlog`` with power 1): given the
 lower limit it does the lower-limit work once and returns the integral
 as a function of the upper limit; ``closed_ode_inverse`` is that
-function's exact inverse, with a bound on its rounding.  The other
-shapes' ode-time functionals are integrated by quadrature.  The gain-time functional is
+function's exact inverse, with a bound on its rounding, and
+``reciprocal_diverges()`` says whether the functional grows without
+bound.  A shape without ``closed_ode`` builds no ode-time functional,
+and nothing asks for its divergence rule.  The gain-time functional is
 only evaluated, by quadrature, so shapes carry no closed form or
 divergence rule for it.  ``classify_regime`` is the function
 form of ``regime()``, and ``limit_probe`` renders an empirical verdict on
@@ -129,9 +130,10 @@ _UNSUPPORTED = Regime(RegimeKind.UNSUPPORTED)
 #
 # Everything is expressed in u = log x.  ``closed_ode(la)`` returns the
 # unscaled integral of the ode-time functional over [la, u] as a function
-# of u, or None when only quadrature will do.  Only the comparison scales
-# of the rate laws are integrated in closed form, since only they are
-# inverted.  The lower term is computed once, when the function is built.
+# of u, or None for a shape that builds no ode-time functional.  Only the
+# comparison scales of the rate laws have one, since only they are
+# evaluated and inverted.  The lower term is computed once, when the
+# function is built.
 #
 # ``closed_ode_inverse(la)`` returns, next to each closed form, a function
 # from an unscaled value Y to (u, slack), or None where the inverse is not
@@ -168,8 +170,8 @@ class CoefficientSpec:
 
     Subclasses set ``_MIN_LOG_ARG`` (log of the smallest admissible
     argument) and ``_MIN_INCLUSIVE`` (whether that bound itself is
-    admissible), implement ``log_term`` and the divergence rule, and
-    override ``regime`` and the closed form where they have them.  There
+    admissible), implement ``log_term``, and override ``regime`` and the
+    closed form with its divergence rule where they have them.  There
     is no direct float value: F(x) itself is never needed, only log F.
     """
 
@@ -244,9 +246,6 @@ class Zero(CoefficientSpec):
 
     def regime(self) -> Regime:
         raise DomainError("the delayed term must not vanish identically")
-
-    def reciprocal_diverges(self) -> bool:
-        raise DomainError("reciprocal of the zero shape is undefined")
 
 
 @dataclass(frozen=True)
@@ -371,10 +370,6 @@ class LinTimesExpLogPow(CoefficientSpec):
             return Regime(RegimeKind.RV1_SUPERLINEAR)
         return _UNSUPPORTED
 
-    def reciprocal_diverges(self) -> bool:
-        # 1/F integrates like exp(-(log u)^alpha) d(log u): finite
-        return False
-
 
 @dataclass(frozen=True)
 class ExpLogPow(CoefficientSpec):
@@ -401,9 +396,6 @@ class ExpLogPow(CoefficientSpec):
         if self.exponent > 1:
             return Regime(RegimeKind.FASTER_THAN_POLY, self.exponent)
         return _UNSUPPORTED
-
-    def reciprocal_diverges(self) -> bool:
-        return self.exponent <= 1
 
 
 @dataclass(frozen=True)

@@ -18,13 +18,12 @@ here must stay finite and accurate while x itself is only represented by
 its logarithm.
 
 All evaluation happens in the substituted variable w = log u, and each
-family has only the routes the verifier takes:
-- ode-time functionals are integrated by the shape's own ``closed_ode``
-  where it has one (``power``, ``powerlog`` with power 1 and
-  ``NestedLogProduct``, the shapes of the rate laws' comparison scales),
-  and by quadrature otherwise; they answer whether they diverge through
-  ``reciprocal_diverges``, and only a closed form is inverted (for
-  envelopes);
+family has exactly one route:
+- an ode-time functional is its shape's own ``closed_ode`` (``power``,
+  ``powerlog`` with power 1 and ``NestedLogProduct``, the shapes of the
+  rate laws' comparison scales); a shape without one builds no ode-time
+  functional.  It is evaluated and inverted (for envelopes) in closed
+  form, and answers whether it diverges through ``reciprocal_diverges``;
 - gain-time functionals are only evaluated, by quadrature: they are never
   inverted and have no divergence rule.
 The quadrature is an adaptive Gauss-Legendre scheme on the transformed
@@ -153,6 +152,8 @@ class GrowthFunctional:
         if not self.coeff.supports(math.log(self.lower)):
             raise DomainError(
                 f"lower reference {self.lower!r} lies outside the domain of {self.coeff}")
+        if self.kind is FunctionalKind.ODE_TIME and self.coeff.closed_ode(self.log_lower) is None:
+            raise DomainError(f"{self.coeff} has no closed-form ode-time functional")
         _positive(self.scale, "scale")
 
     @property
@@ -179,16 +180,6 @@ def default_ode_lower(phi: CoefficientSpec, history_floor: float) -> float:
     return max(history_floor, phi.domain_threshold, math.e)
 
 
-def _closed(functional: GrowthFunctional) -> ClosedForm | None:
-    """The shape's closed form of the unscaled functional in log x, or None.
-
-    Only ode-time functionals have one; gain-time is quadrature only.
-    """
-    if functional.kind is FunctionalKind.ODE_TIME:
-        return functional.coeff.closed_ode(functional.log_lower)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # quadrature on the transformed integrand
 
@@ -202,11 +193,8 @@ _GL15_CENTRE = _GL15_NODES.tolist().index(0.0)
 
 
 def _integrand(functional: GrowthFunctional) -> Callable[[float], float]:
+    """The gain-time integrand in w = log u."""
     coeff = functional.coeff
-    if functional.kind is FunctionalKind.ODE_TIME:
-        def fn(w: float) -> float:
-            return _exp(w - coeff.value_log(w))
-        return fn
 
     def fn(w: float) -> float:
         d = coeff.value_log(w) - w  # log of g(u)/u
@@ -268,32 +256,33 @@ def _check_argument(la: float, log_x: float) -> None:
             f"argument log x = {log_x!r} lies below the lower reference (log {la:g})")
 
 
-def _evaluator(functional: GrowthFunctional,
-               closed: ClosedForm | None) -> Callable[[float], float]:
+def _evaluator(functional: GrowthFunctional) -> Callable[[float], float]:
     """F(x)/scale as a function of log x, for arguments already checked.
 
-    ``closed`` is ``_closed(functional)``.  The lower-limit work (log of the
-    lower reference, the closed form's lower term, the integrand) is done
-    once here, so loops over many arguments pay only for the upper limit.
+    The route follows the kind: the closed form for ode-time, quadrature
+    for gain-time.  The lower-limit work (log of the lower reference, the
+    closed form's lower term, the integrand) is done once here, so loops
+    over many arguments pay only for the upper limit.
     """
     la, scale = functional.log_lower, functional.scale
-    if closed is None:
+    if functional.kind is FunctionalKind.GAIN_TIME:
         fn = _integrand(functional)
         return lambda log_x: _adaptive(fn, la, log_x) / scale
+    closed = functional.coeff.closed_ode(la)
     return lambda log_x: 0.0 if log_x == la else closed(log_x) / scale
 
 
 def evaluate(functional: GrowthFunctional, log_x: float) -> float:
     """F(x)/scale at log x; log x must not fall below the lower reference."""
     _check_argument(functional.log_lower, log_x)
-    return _evaluator(functional, _closed(functional))(log_x)
+    return _evaluator(functional)(log_x)
 
 
 def evaluate_many(functional: GrowthFunctional, log_xs: Sequence[float]) -> list[float]:
     """Evaluate at many points, checking them and doing the lower-limit work once.
 
     The values are those of ``evaluate``, bit for bit, except for sorted
-    quadrature arguments: those are handled incrementally, one panel run
+    gain-time arguments: those are handled incrementally, one quadrature
     per gap, so a whole trajectory costs what its largest argument costs.
     """
     points = [float(v) for v in log_xs]
@@ -302,10 +291,9 @@ def evaluate_many(functional: GrowthFunctional, log_xs: Sequence[float]) -> list
     la = functional.log_lower
     for v in points:
         _check_argument(la, v)
-    closed = _closed(functional)
-    value_at = _evaluator(functional, closed)
+    value_at = _evaluator(functional)
     ascending = all(b >= a for a, b in zip(points, points[1:]))
-    if closed is not None or not ascending:
+    if functional.kind is FunctionalKind.ODE_TIME or not ascending:
         return [value_at(v) for v in points]
     fn, scale = _integrand(functional), functional.scale
     out = [value_at(points[0])]
@@ -317,7 +305,6 @@ def evaluate_many(functional: GrowthFunctional, log_xs: Sequence[float]) -> list
     return out
 
 
-INVERT_MAX_ITERS = 500
 INVERT_LOG_RANGE = 1e300
 # la + 2**_TOP_DOUBLING passes INVERT_LOG_RANGE for every lower reference
 # (|la| < 746 for a positive double), so no bracket is longer
@@ -384,21 +371,21 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
     """log x such that F(x)/scale = y, for each y; inf where that is past the log range.
 
     Each value is what ``invert`` returns for it, bit for bit, with inf
-    where ``invert`` raises HorizonExceeded.  Only a functional with a
-    closed form (an ode-time functional whose shape has ``closed_ode``)
-    is inverted; any other raises DomainError.  That, every value, and
-    whether F diverges are checked before the first probe.  Consecutive
-    values share work: F at the bracket ends la + 2^j does not depend on
-    y, so each is probed once per call, and a value at or above the last
-    bracketed one resumes the bracket search at that one's j, since the
-    least j can only grow.  The bisection itself probes only near the
+    where ``invert`` raises HorizonExceeded.  Only an ode-time functional,
+    a closed form, is inverted; a gain-time one raises DomainError.  That,
+    every value, and whether F diverges are checked before the first
+    probe.  Consecutive values share work: F at the bracket ends
+    la + 2^j does not depend on y, so each is probed once per call, and
+    a value at or above the last bracketed one resumes the bracket
+    search at that one's j, since the least j can only grow.  The
+    bisection stops at the first midpoint within tolerance, or where no
+    double lies strictly inside its bracket.  It probes only near the
     tolerance window: the shape's exact inverse at y -+ tol, with its
     rounding slack, decides every midpoint farther than the slack from
     the window's edges (see ``_zones``), and those verdicts are the ones
     a probe would give, so the midpoints and the result are the same.
     """
-    closed = _closed(functional)
-    if closed is None:
+    if functional.kind is not FunctionalKind.ODE_TIME:
         raise DomainError(f"{functional.describe()} has no closed form to invert")
     values = list(ys)
     for y in values:
@@ -408,7 +395,7 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
         raise DomainError(
             f"{functional.describe()} is bounded; its inverse is not defined for all values")
     la, scale = functional.log_lower, functional.scale
-    value_at = _evaluator(functional, closed)
+    value_at = _evaluator(functional)
     inverse = functional.coeff.closed_ode_inverse(la)
     rungs: dict[float, float] = {}  # F at la + 2^j; at most _TOP_DOUBLING + 1 entries
 
@@ -432,8 +419,10 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
             continue
         tol = 1e-9 * (1.0 + abs(y))
         right, inside_lo, inside_hi, left = _zones(inverse, y, tol, scale)
-        for _ in range(INVERT_MAX_ITERS):
+        while True:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break   # no double lies strictly inside the bracket
             if mid < right:
                 lo = mid
             elif mid > left:
@@ -448,8 +437,6 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
                     lo = mid
                 else:
                     hi = mid
-        else:
-            raise NumericError(f"inversion of {functional.describe()} at {y!r} did not converge")
         out.append(mid)
     return out
 
@@ -459,11 +446,12 @@ def invert(functional: GrowthFunctional, y: float) -> float:
 
     The one-value case of ``invert_many``: bisection on [la, la + 2^j],
     for the least j >= 0 with F(la + 2^j)/scale >= y, until the residual
-    is within 1e-9 * (1 + |y|).  That j is found by galloping over the
-    doubling exponent and bisecting it (see ``_bracket_exponent``).  A
-    bracket past log x = 1e300 means the inverse is not representable and
-    raises HorizonExceeded; a functional without a closed form raises
-    DomainError.
+    is within 1e-9 * (1 + |y|) or no double lies strictly inside the
+    bracket, where F's step between adjacent doubles of log x is coarser
+    than the tolerance.  That j is found by galloping over the doubling
+    exponent and bisecting it (see ``_bracket_exponent``).  A bracket past
+    log x = 1e300 means the inverse is not representable and raises
+    HorizonExceeded; a gain-time functional raises DomainError.
     """
     (log_x,) = invert_many(functional, [y])
     if log_x == math.inf:

@@ -7,7 +7,10 @@ to ``math``), a 50-digit mpmath evaluator of log F(e^u), the integrands of
 the two growth functionals in w = log x, and exact limits at infinity
 (sympy's ``limit`` runs Gruntz's algorithm, which decides limits in the
 exp-log class: D. Gruntz, *On Computing Limits in a Symbolic Manipulation
-System*, ETH Zurich 1996).
+System*, ETH Zurich 1996).  ``ode_float_integrand`` is the one entry that
+uses the shapes' own log-domain formulas: the float integrand on which
+the tests run the package's quadrature engine for shapes whose ode-time
+functional has no closed form.
 """
 
 from dataclasses import fields
@@ -16,7 +19,7 @@ from fractions import Fraction
 import mpmath
 import sympy as sp
 
-from delaygrowth.coefficients import _SHAPES
+from delaygrowth.coefficients import _SHAPES, _exp
 from delaygrowth.functionals import NestedLogProduct
 
 x = sp.Symbol("x", positive=True)
@@ -72,6 +75,13 @@ def log_value(shape, u: float) -> mpmath.mpf:
 def ode_integrand(shape) -> sp.Expr:
     """e^w / F(e^w): the ode-time functional is its integral over w = log x."""
     return sp.exp(w) / expression(shape).subs(x, sp.exp(w))
+
+
+def ode_float_integrand(shape):
+    """w -> e^w / F(e^w) in floats, from the shape's log term: the
+    integrand, in w = log x, that ``functionals._adaptive`` integrates
+    to the ode-time functional."""
+    return lambda w: _exp(w - shape.value_log(w))
 
 
 def gain_integrand(shape) -> sp.Expr:

@@ -20,9 +20,8 @@ from delaygrowth import (
 )
 from delaygrowth.analysis import EstimateStatus
 from delaygrowth.cli import main as cli_main
-from delaygrowth.functionals import (
-    QUAD_ABS_TOL, QUAD_REL_TOL, _adaptive, _integrand,
-)
+from delaygrowth.functionals import QUAD_ABS_TOL, QUAD_REL_TOL, _adaptive
+from oracle import ode_float_integrand
 from undelayed import undelayed_log_states
 
 LAMBDA_UNIT = 0.5671432904097838   # bisection oracle, agrees with lambertw(1)
@@ -146,7 +145,9 @@ def test_07_instantaneous_term_dominated_or_refused():
 
 
 def test_08_closed_forms_agree_with_quadrature():
-    # Gamma(x) = ((log x)^(1-a) - 1)/(1-a) for phi = x (log x)^a, a = 1/2
+    # Gamma(x) = ((log x)^(1-a) - 1)/(1-a) for phi = x (log x)^a, a = 1/2;
+    # an ode-time functional is its closed form, so the quadrature engine
+    # runs on the oracle's float integrand of the same shape
     alpha = 0.5
     gamma = ode_time(PowerLog(1.0, 1.0, alpha), math.e)
     worst = 0.0
@@ -154,7 +155,7 @@ def test_08_closed_forms_agree_with_quadrature():
         closed = evaluate(gamma, float(u))
         expected = (u ** (1.0 - alpha) - 1.0) / (1.0 - alpha)
         assert closed == pytest.approx(expected, rel=1e-10)
-        quad = _adaptive(_integrand(gamma), gamma.log_lower, float(u))
+        quad = _adaptive(ode_float_integrand(gamma.coeff), gamma.log_lower, float(u))
         worst = max(worst, abs(quad - closed) / closed)
     # G(x) = log x for g = (e-1) x: the per-window gain is exactly 1.
     # Gain-time is evaluated by quadrature only, so this checks that route
@@ -187,13 +188,14 @@ def test_09_envelopes_dominate_every_step():
 
 
 def test_10_faster_than_polynomial_regime():
-    # closed form of the triple-log functional against quadrature
+    # closed form of the triple-log functional against the quadrature
+    # engine on the oracle's float integrand
     shape = NestedLogProduct()
     fn = ode_time(shape, 2.0, scale=LOG2)   # any lower above e - 1 works
     worst = 0.0
     for u in np.linspace(1.5, 500.0, 20):
         closed = evaluate(fn, float(u))
-        quad = _adaptive(_integrand(fn), fn.log_lower, float(u)) / fn.scale
+        quad = _adaptive(ode_float_integrand(shape), fn.log_lower, float(u)) / fn.scale
         worst = max(worst, abs(quad - closed) / closed)
     # the trajectory overflows the log-domain cap within a few delay
     # windows; over the reachable range the triple log climbs at log 2

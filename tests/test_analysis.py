@@ -3,7 +3,7 @@ import pathlib
 
 import mpmath
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from delaygrowth.analysis import (
     _LAWS, EstimateStatus, EstimationError, Observable, Prediction, PredictionRefused,
@@ -12,15 +12,13 @@ from delaygrowth.analysis import (
     predict, solve_char_eq, sweep_h, verify_scenario,
 )
 from delaygrowth.coefficients import (
-    Constant, ExpLogPow, Linear, LinTimesExpLogPow, Power, PowerLog, Zero,
-    classify_regime, parse_coefficient,
+    Constant, ExpLogPow, Linear, LinTimesExpLogPow, Power, PowerLog, RegimeKind,
+    Zero, classify_regime, parse_coefficient,
 )
 from delaygrowth.cli import build_scenario, load_config
 from delaygrowth.errors import DomainError, HorizonExceeded
 from delaygrowth.functionals import evaluate as evaluate_fn
-from delaygrowth.functionals import (
-    _closed, default_ode_lower, gain_time, invert, ode_time,
-)
+from delaygrowth.functionals import default_ode_lower, gain_time, invert, ode_time
 from delaygrowth.simulator import ConstantHistory, Scenario, Trajectory, simulate_euler
 from undelayed import undelayed_log_states
 
@@ -398,10 +396,55 @@ def test_envelope_comparison_scale_per_regime(g, functional, offset, floor_log):
                                "xexplogpow(1,0.5)", "power(1,2)", "explogpow(1,2)"])
 def test_every_envelope_scale_has_a_closed_form_to_invert(g):
     # invert takes closed forms only, so every regime's comparison scale
-    # must have one
+    # must build an ode-time functional, and that functional inverts
     g = parse_coefficient(g)
     scale = _LAWS[classify_regime(g).kind].scale(g)
-    assert _closed(ode_time(scale, default_ode_lower(scale, 1.0))) is not None
+    F = ode_time(scale, default_ode_lower(scale, 1.0))
+    assert abs(evaluate_fn(F, invert(F, 1.0)) - 1.0) <= 2e-9   # invert's tolerance at 1
+
+
+_LEVELS = st.floats(min_value=1e-3, max_value=1e3)
+# the exponents where a regime or a closed form changes, and those between
+_EXPONENTS = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(0.0, 4.0))
+
+
+def _powerlog(c, power, log_power):
+    # power 0 needs a nonnegative log power
+    return PowerLog(c, power, abs(log_power) if power == 0 else log_power)
+
+
+CATALOG_SHAPES = st.one_of(
+    st.builds(Constant, _LEVELS),
+    st.builds(Linear, _LEVELS),
+    st.builds(Power, _LEVELS, _EXPONENTS),
+    st.builds(LinTimesExpLogPow, _LEVELS, st.floats(0.01, 2.0)),
+    st.builds(ExpLogPow, _LEVELS, st.floats(0.01, 4.0)),
+    st.builds(_powerlog, _LEVELS, _EXPONENTS, st.floats(-3.0, 3.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(g=CATALOG_SHAPES, floor=st.floats(min_value=1e-3, max_value=1e6))
+@example(g=Power(1.0, 0.5), floor=1.0)
+@example(g=Constant(2.0), floor=1.0)
+@example(g=Linear(1.0), floor=1.0)
+@example(g=LinTimesExpLogPow(1.0, 0.5), floor=1.0)
+@example(g=Power(1.0, 2.0), floor=1.0)
+@example(g=ExpLogPow(1.0, 2.0), floor=1.0)
+def test_every_supported_regime_builds_its_ode_time_functionals(g, floor):
+    # an ode-time functional is its shape's closed form, so the regime's
+    # reported functional and its envelope scale's functional must both
+    # build; an RV1 term other than xexplogpow has no envelope scale
+    law = _LAWS.get(classify_regime(g).kind)
+    assume(law is not None)
+    default_functional(g)
+    try:
+        scale = law.scale(g)
+    except DomainError:
+        assert classify_regime(g).kind is RegimeKind.RV1_SUPERLINEAR
+        assert not isinstance(g, LinTimesExpLogPow)
+        return
+    ode_time(scale, default_ode_lower(scale, floor))
 
 
 # ---------------------------------------------------------------------------

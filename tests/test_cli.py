@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -11,7 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaygrowth import cli
-from delaygrowth.cli import ConfigError, load_config, main
+from delaygrowth.analysis import derive_envelope_params
+from delaygrowth.cli import ConfigError, build_scenario, load_config, main
+from delaygrowth.errors import HorizonExceeded
+from delaygrowth.functionals import invert
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -366,6 +370,33 @@ def test_envelope_reports_and_writes_margins(tmp_path, capsys):
     lines = out.read_text(encoding="ascii").splitlines()
     assert lines[0] == "n,t,log_x,envelope"
     assert len(lines) == 1 + 4 * 60 + 4 + 1
+
+
+# envelopes that invert scales no shipped config inverts: power's closed
+# form at exponent 1 (the linear scale) and at 0 (the constant one), and a
+# near-linear power whose tolerance is finer than F's step between adjacent
+# doubles of log x, where the bisection stops at those doubles
+@pytest.mark.parametrize("args,rows", [
+    (("g=linear(2)", "horizon=50"), 205),
+    (("g=const(2)", "horizon=50"), 205),
+    (("g=power(1,0.999999999)", "horizon=100"), 405),
+], ids=["linear", "const", "near-linear-power"])
+def test_envelope_margins_are_the_per_row_inverses(args, rows, tmp_path, capsys):
+    out = tmp_path / "margins.csv"
+    argv = ["envelope", *args, "tau=1", "psi=const(1)", "N=4"]
+    code = main(argv + [f"out={out}"])
+    assert code == 0
+    assert "holds: yes" in capsys.readouterr().out
+    params = derive_envelope_params(build_scenario(load_config(argv)), 0.5)
+    lines = out.read_text(encoding="ascii").splitlines()
+    assert len(lines) == 1 + rows
+    for line in lines[1:]:
+        _, t, _, envelope = line.split(",")
+        try:
+            want = invert(params.functional, (1.0 + params.eps) * float(t) + params.offset)
+        except HorizonExceeded:
+            want = math.inf
+        assert float(envelope).hex() == want.hex(), line
 
 
 def test_envelope_violation_exits_1(monkeypatch, capsys):

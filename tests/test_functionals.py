@@ -11,12 +11,12 @@ from scipy.integrate import quad
 from delaygrowth.coefficients import (
     Constant, ExpLogPow, Linear, LinTimesExpLogPow, Power, PowerLog, Zero,
 )
-from delaygrowth.errors import DomainError, HorizonExceeded, NumericError
+from delaygrowth.errors import DomainError, HorizonExceeded
 from delaygrowth.functionals import (
-    INVERT_LOG_RANGE, INVERT_MAX_ITERS, QUAD_REL_TOL, FunctionalKind,
-    GrowthFunctional, NestedLogProduct, default_ode_lower, diverges, evaluate,
-    evaluate_many, gain_time, invert, invert_many, ode_time, _bracket_exponent,
-    _closed, _evaluator, _panel,
+    INVERT_LOG_RANGE, QUAD_REL_TOL, FunctionalKind, GrowthFunctional,
+    NestedLogProduct, default_ode_lower, diverges, evaluate, evaluate_many,
+    gain_time, invert, invert_many, ode_time, _adaptive, _bracket_exponent,
+    _evaluator, _panel,
 )
 
 import oracle
@@ -74,26 +74,32 @@ def test_gain_time_of_a_linear_shape_is_log_x_over_log1p_c():
 
 
 # ---------------------------------------------------------------------------
-# quadrature against hand antiderivatives: shapes that are no comparison
-# scale have no closed form, however simple their antiderivative
+# the quadrature engine against hand antiderivatives, on the ode-time
+# integrands of shapes that are no comparison scale: they have no closed
+# form, however simple their antiderivative, and so build no ode-time
+# functional; the engine runs on the oracle's float integrand instead
+
+def ode_quadrature(coeff, lower, u):
+    """``_adaptive`` on the ode-time integrand of ``coeff`` over [log lower, u]."""
+    return _adaptive(oracle.ode_float_integrand(coeff), math.log(lower), u)
+
 
 def test_powerlog_zero_log_power_quadrature_matches_power():
-    F = ode_time(PowerLog(3.0, 2.0, 0.0), 2.0)
-    assert evaluate(F, math.log(4.0)) == pytest.approx((0.5 - 0.25) / 3.0)
+    value = ode_quadrature(PowerLog(3.0, 2.0, 0.0), 2.0, math.log(4.0))
+    assert value == pytest.approx((0.5 - 0.25) / 3.0)
 
 
 def test_rv1_shape_quadrature_matches_the_incomplete_gamma_value():
-    F = ode_time(LinTimesExpLogPow(1.0, 0.5), 1.0)
     # integral of e^{-sqrt(w)} dw from 0 to 4 is 2 - 6 e^{-2}
-    assert evaluate(F, 4.0) == pytest.approx(2.0 - 6.0 * math.exp(-2.0), rel=1e-12)
+    value = ode_quadrature(LinTimesExpLogPow(1.0, 0.5), 1.0, 4.0)
+    assert value == pytest.approx(2.0 - 6.0 * math.exp(-2.0), rel=1e-12)
 
 
 def test_square_log_exponent_quadrature_matches_the_erf_value():
-    F = ode_time(ExpLogPow(1.0, 2.0), 1.0)
     # integrand e^{w - w^2}; complete the square
     expected = (math.exp(0.25) * 0.5 * math.sqrt(math.pi)
                 * (math.erf(0.5) - math.erf(-0.5)))
-    assert evaluate(F, 1.0) == pytest.approx(expected, rel=1e-12)
+    assert ode_quadrature(ExpLogPow(1.0, 2.0), 1.0, 1.0) == pytest.approx(expected, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +112,11 @@ def test_square_log_exponent_quadrature_matches_the_erf_value():
     (ExpLogPow(2.0, 0.5), 1.0, 5.0),
 ])
 def test_ode_quadrature_matches_reference(coeff, lower, u):
-    F = ode_time(coeff, lower)
-    assert coeff.closed_ode(F.log_lower) is None
+    assert coeff.closed_ode(math.log(lower)) is None
     value = float_function(coeff)
     ref, ref_err = quad(lambda w: math.exp(w) / value(math.exp(w)),
                         math.log(lower), u, limit=200)
-    assert evaluate(F, u) == pytest.approx(ref, rel=1e-8, abs=10.0 * ref_err)
+    assert ode_quadrature(coeff, lower, u) == pytest.approx(ref, rel=1e-8, abs=10.0 * ref_err)
 
 
 @pytest.mark.parametrize("coeff,lower,u", [
@@ -156,17 +161,16 @@ def test_gain_time_refuses_shapes_vanishing_at_one():
 
 
 def test_rv1_shape_quadrature_matches_the_reference_far_out():
-    coeff = LinTimesExpLogPow(1.0, 0.5)
-    F = ode_time(coeff, 1.0)
     ref, _ = quad(lambda w: math.exp(-math.sqrt(w)), 0.0, 25.0, limit=200)
-    assert evaluate(F, 25.0) == pytest.approx(ref, rel=1e-9)
+    assert ode_quadrature(LinTimesExpLogPow(1.0, 0.5), 1.0, 25.0) == pytest.approx(ref, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
 # batch evaluation
 
 def test_evaluate_many_incremental_matches_pointwise():
-    F = ode_time(PowerLog(1.0, 2.0, 1.0), 2.0)  # quadrature path
+    # sorted gain-time arguments take the incremental route
+    F = GrowthFunctional(FunctionalKind.GAIN_TIME, PowerLog(1.0, 2.0, 1.0), 2.0)
     us = [1.0, 1.5, 1.5, 2.0, 4.0, 9.0]
     batch = evaluate_many(F, us)
     single = [evaluate(F, u) for u in us]
@@ -250,8 +254,10 @@ def scan_invert(functional, y):
             raise HorizonExceeded(
                 f"inverse of {functional.describe()} at {y!r} exceeds log range {INVERT_LOG_RANGE:g}")
     lo = la
-    for _ in range(INVERT_MAX_ITERS):
+    while True:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
         val = evaluate(functional, mid)
         if abs(val - y) <= tol:
             return mid
@@ -259,7 +265,6 @@ def scan_invert(functional, y):
             lo = mid
         else:
             hi = mid
-    raise NumericError(f"inversion of {functional.describe()} at {y!r} did not converge")
 
 
 def outcome(fn, *args):
@@ -283,13 +288,8 @@ CLOSED_DIVERGING = [
     ode_time(NestedLogProduct(), math.e),
     ode_time(Linear(1.0), math.e),
 ]
-# functionals evaluated by quadrature: diverging ode-time shapes without a
-# closed form, and every gain-time functional
+# functionals evaluated by quadrature: the gain-time ones
 QUADRATURE = [
-    ode_time(PowerLog(2.0, 0.5, 0.0), 1.5),
-    ode_time(PowerLog(2.0, 0.5, -1.0), 3.0),
-    ode_time(ExpLogPow(1.0, 0.5), 1.0),
-    ode_time(ExpLogPow(1.0, 1.0), 1.0),
     gain_time(Linear(2.0)),
     gain_time(Power(0.5, 1.0)),
     gain_time(Constant(5.0)),
@@ -303,16 +303,36 @@ QUADRATURE = [
 INVERT_YS = [1e-6, 1e-3, 0.1, 1.0, 3.7, 10.0, 100.0, 1e3, 1e5, 1e9]
 
 
+# shapes without a closed form, each with a lower reference in its domain:
+# the ode-time rows that quadrature once evaluated, and the delayed terms
+# of the RV1 and faster-than-polynomial regimes
+NO_CLOSED_FORM = [
+    (PowerLog(2.0, 0.5, 0.0), 1.5),
+    (PowerLog(2.0, 0.5, -1.0), 3.0),
+    (ExpLogPow(1.0, 0.5), 1.0),
+    (ExpLogPow(1.0, 1.0), 1.0),
+    (ExpLogPow(1.0, 2.0), 1.0),
+    (LinTimesExpLogPow(1.0, 0.5), 1.0),
+]
+
+
 def test_the_catalog_lists_are_what_they_say():
     for F in CLOSED_DIVERGING:
+        assert F.kind is FunctionalKind.ODE_TIME
         assert diverges(F)
-        assert _closed(F) is not None
         assert F.coeff.closed_ode_inverse(F.log_lower) is not None
     for F in QUADRATURE:
-        assert _closed(F) is None
-        if F.kind is FunctionalKind.ODE_TIME:
-            assert diverges(F)
-            assert F.coeff.closed_ode_inverse(F.log_lower) is None
+        assert F.kind is FunctionalKind.GAIN_TIME
+
+
+@pytest.mark.parametrize("coeff,lower", NO_CLOSED_FORM, ids=str)
+def test_ode_time_refuses_shapes_without_a_closed_form(probes, coeff, lower):
+    # an ode-time functional is its shape's closed form: there is no
+    # quadrature route to fall back on, so the refusal is at construction
+    assert coeff.closed_ode(math.log(lower)) is None
+    with pytest.raises(DomainError, match=re.escape(f"{coeff} has no closed-form ode-time functional")):
+        ode_time(coeff, lower)
+    assert probes == []
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.37, 5.0])
@@ -337,6 +357,15 @@ def test_only_closed_forms_are_inverted(probes, F):
     assert probes == []
 
 
+def test_invert_stops_where_no_double_lies_inside_the_bracket():
+    # F = x - 1e60 steps by about 3e46 between adjacent doubles of log x
+    # near log 1e60, so no double meets the tolerance 2e-9 at y = 1: the
+    # bisection ends where no double lies strictly inside its bracket
+    F = ode_time(Constant(1.0), 1e60)
+    assert invert(F, 1.0) == math.log(1e60)
+    assert outcome(invert, F, 1.0) == outcome(scan_invert, F, 1.0)
+
+
 def test_invert_matches_the_doubling_scan_on_bad_values():
     F = ode_time(Constant(2.0), 1.0)
     for y in (-1.0, math.nan, math.inf, 0.0):
@@ -350,7 +379,7 @@ def test_the_gallop_needs_logarithmically_many_probes():
     # the envelope functional of g = x^2: F(x) = log log x / log 2, so
     # y = 900 needs log x near 2^900 and a scan probes about 900 times
     F = ode_time(PowerLog(1.0, 1.0, 1.0), math.e, scale=math.log(2.0))
-    evaluator = _evaluator(F, _closed(F))
+    evaluator = _evaluator(F)
     probes = []
 
     def counted(log_x):
@@ -506,20 +535,22 @@ def test_evaluate_many_is_evaluate_bit_for_bit_on_unsorted_quadrature(F, offsets
 
 
 @pytest.mark.parametrize("F", CLOSED_DIVERGING + [ode_time(Power(1.0, 2.0), 1.0),
-                                                 ode_time(PowerLog(1.0, 3.0, 0.0), 2.0)]
+                                                 ode_time(PowerLog(1.0, 1.0, 2.0), 2.0),
+                                                 ode_time(PowerLog(1.0, 1.0, 3.0), math.e)]
                          + QUADRATURE,
                          ids=GrowthFunctional.describe)
 def test_the_functional_is_plus_zero_at_its_lower_reference(F):
     # a closed form written out at u = la gives -0.0 where its
-    # denominator is negative (power above 1), so the lower reference is
-    # its own case, on the closed and the quadrature route alike
+    # denominator is negative (power or log power above 1), so the lower
+    # reference is its own case, on the closed and the quadrature route alike
     la = F.log_lower
     assert evaluate(F, la).hex() == "0x0.0p+0"
     assert [v.hex() for v in evaluate_many(F, [la, la])] == ["0x0.0p+0"] * 2
 
 
 @pytest.mark.parametrize("F", [ode_time(Constant(2.0), 2.0),
-                               ode_time(PowerLog(2.0, 0.5, -1.0), 3.0)], ids=GrowthFunctional.describe)
+                               GrowthFunctional(FunctionalKind.GAIN_TIME, PowerLog(1.0, 2.0, 1.0), 2.0)],
+                         ids=GrowthFunctional.describe)
 @pytest.mark.parametrize("bad", [0.0, -math.inf, math.inf, math.nan])
 def test_evaluate_many_raises_what_evaluate_raises(F, bad):
     la = F.log_lower
@@ -534,19 +565,20 @@ def test_evaluate_many_raises_what_evaluate_raises(F, bad):
 # ---------------------------------------------------------------------------
 # divergence rules
 
+# every closed form, with both sides of its boundary: power 1 and log power 1
 @pytest.mark.parametrize("F,expected", [
     (ode_time(Constant(2.0), 1.0), True),
     (ode_time(Power(1.0, 0.5), 1.0), True),
     (ode_time(Power(1.0, 2.0), 1.0), False),
-    (ode_time(LinTimesExpLogPow(1.0, 0.5), 1.0), False),
+    (ode_time(Power(1.0, 1.001), 1.0), False),
     (ode_time(NestedLogProduct(), math.e), True),
     (ode_time(Linear(2.0), math.e), True),
     (ode_time(PowerLog(1.0, 1.0, 1.0), math.e), True),
-    (ode_time(PowerLog(2.0, 0.5, -1.0), 3.0), True),
-    (ode_time(ExpLogPow(1.0, 0.5), 1.0), True),
+    (ode_time(Power(1.0, 0.999), 1.0), True),
+    (ode_time(PowerLog(1.0, 1.0, 0.5), math.e), True),
     (ode_time(PowerLog(1.0, 1.0, 2.0), 2.0), False),
-    (ode_time(ExpLogPow(1.0, 2.0), 1.0), False),
-    (ode_time(ExpLogPow(1.0, 1.0), 1.0), True),
+    (ode_time(PowerLog(1.0, 1.0, 1.001), 2.0), False),
+    (ode_time(Power(2.0, 1.0), 2.0), True),
     (ode_time(PowerLog(1.0, 1.0, -2.0), 2.0), True),
 ])
 def test_divergence_rules(F, expected):
@@ -627,7 +659,7 @@ def test_nested_log_product_shape():
        u2=st.floats(min_value=0.1, max_value=40.0))
 def test_functionals_are_monotone(u1, u2):
     lo, hi = sorted((u1, u2))
-    for F in (ode_time(PowerLog(1.0, 2.0, 1.0), 1.05),
+    for F in (ode_time(PowerLog(1.0, 1.0, 0.5), 1.05),
               gain_time(LinTimesExpLogPow(1.0, 0.5))):
         assert evaluate(F, lo) <= evaluate(F, hi) + 1e-12
 

@@ -93,16 +93,17 @@ def test_closed_forms_match_quadrature(shape, la, width):
 # ---------------------------------------------------------------------------
 # the divergence rule, against limit comparison of the tail integrand
 
+# xexplogpow and explogpow have no closed form, so they build no ode-time
+# functional and carry no divergence rule
+ruled_shapes = nonzero_shapes.filter(lambda s: not isinstance(s, (LinTimesExpLogPow, ExpLogPow)))
+
+
 @symbolic
-@given(shape=nonzero_shapes)
+@given(shape=ruled_shapes)
 @example(shape=Power(2.0, 1.0))
 @example(shape=Power(1.0, 2.0))
 @example(shape=PowerLog(1.0, 1.0, 1.0))
 @example(shape=PowerLog(1.0, 1.0, 2.0))
-@example(shape=LinTimesExpLogPow(1.0, 1.0))
-@example(shape=ExpLogPow(1.0, 1.0))
-@example(shape=ExpLogPow(1.0, 0.5))
-@example(shape=ExpLogPow(1.0, 1.5))
 def test_divergence_rules_match_limit_comparison(shape):
     assert shape.reciprocal_diverges() is oracle.tail_diverges(oracle.ode_integrand(shape))
 
