@@ -139,10 +139,10 @@ _UNSUPPORTED = Regime(RegimeKind.UNSUPPORTED)
 # from an unscaled value Y to (u, slack), or None where the inverse is not
 # finite or cannot be computed (overflow, or the log or root of a value
 # <= 0).  u is the closed form's exact inverse at Y, evaluated in floats.
-# ``functionals.invert_many`` decides bisection steps from these pairs
-# without probing, so slack bounds, in u, every rounding that can separate
-# a probe's verdict from the exact functional V (exact parameters, exact
-# arithmetic) near u:
+# ``functionals.invert_many`` decides from these pairs, without probing,
+# both its bracket ends la + 2^j and its bisection midpoints, so slack
+# bounds, in u, every rounding that can separate a probe's verdict from
+# the exact functional V (exact parameters, exact arithmetic) near u:
 # - the closed form's forward error at a point m, over the slope V'(m),
 #   with the division by the functional's scale;
 # - the error of u itself;
@@ -153,9 +153,13 @@ _UNSUPPORTED = Regime(RegimeKind.UNSUPPORTED)
 # within e relative and math's exp, log, log1p, expm1 and ** within 2e.
 # Each shape's sum is rounded up and multiplied by 2^10 (``_SLACK`` is
 # e * 2^10).  Every bound grows with m at a slope far below 1 (for a
-# diverging functional), so a midpoint farther than slack from a window
-# edge gets the verdict that edge would get.  The headroom covers the
-# second-order terms and the zone edges' own rounding (e |u|).
+# diverging functional), so a point farther than slack from a window edge
+# gets the verdict that edge would get, and no verdict assumes the closed
+# form nondecreasing in floats.  Only where no pair is certified (y - tol
+# <= 0, or an inverse that is not finite) does ``invert_many`` assume it:
+# one probe at the last bracket end inside the log range decides whether
+# the value lies past the range.  The headroom covers the second-order
+# terms and the zone edges' own rounding (e |u|).
 
 ClosedForm = Callable[[float], float]
 # unscaled value Y -> (u, slack) or None; see above

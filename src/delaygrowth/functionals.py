@@ -310,45 +310,16 @@ INVERT_LOG_RANGE = 1e300
 # (|la| < 746 for a positive double), so no bracket is longer
 _TOP_DOUBLING = 1 + int(math.log2(INVERT_LOG_RANGE))
 
-
-def _bracket_exponent(value_at: Callable[[float], float], la: float, y: float,
-                      start: int = 0) -> int:
-    """The least j >= start with la + 2^j past the log range or F(la + 2^j) >= y.
-
-    F is ``value_at``, a function of log x, and every j below ``start``
-    must fall short of y.  That j is where a scan over j = start,
-    start + 1, ... stops.  The search gallops instead: it doubles the
-    step (start, start + 1, start + 2, start + 4, ...) and bisects the
-    last one; F is nondecreasing, so it stops at the same j after
-    O(log j) probes.  That pays because F is a closed form, whose probes
-    cost the same at any argument.
-    """
-    def reaches(j: int) -> bool:
-        hi = la + 2.0 ** j
-        return hi > INVERT_LOG_RANGE or not value_at(hi) < y
-
-    short, j = start - 1, start  # every j <= short falls short of y
-    while not reaches(j):
-        short, j = j, min(start + max(2 * (j - start), 1), _TOP_DOUBLING)
-    while j - short > 1:
-        mid = (short + j) // 2
-        if reaches(mid):
-            j = mid
-        else:
-            short = mid
-    return j
-
-
 # no midpoint certified: (go right below, stop above, stop below, go left above)
 _NO_ZONES = (-math.inf, math.inf, -math.inf, math.inf)
 
 
 def _zones(inverse: ClosedInverse, y: float, tol: float,
            scale: float) -> tuple[float, float, float, float]:
-    """Where a bisection midpoint's verdict on y is certified without a probe.
+    """Where a probe's verdict on y is certified without making it.
 
     With u-+ the shape's inverses at y -+ tol and slack the larger of their
-    slacks (see ``coefficients.closed_ode_inverse``), a midpoint below
+    slacks (see ``coefficients.closed_ode_inverse``), a point below
     u- - slack falls short of y by more than tol, one above u+ + slack
     passes it by more than tol, and one strictly inside
     (u- + slack, u+ - slack) is within tol.  Nothing is certified when
@@ -371,19 +342,20 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
     """log x such that F(x)/scale = y, for each y; inf where that is past the log range.
 
     Each value is what ``invert`` returns for it, bit for bit, with inf
-    where ``invert`` raises HorizonExceeded.  Only an ode-time functional,
-    a closed form, is inverted; a gain-time one raises DomainError.  That,
-    every value, and whether F diverges are checked before the first
-    probe.  Consecutive values share work: F at the bracket ends
-    la + 2^j does not depend on y, so each is probed once per call, and
-    a value at or above the last bracketed one resumes the bracket
-    search at that one's j, since the least j can only grow.  The
-    bisection stops at the first midpoint within tolerance, or where no
-    double lies strictly inside its bracket.  It probes only near the
-    tolerance window: the shape's exact inverse at y -+ tol, with its
-    rounding slack, decides every midpoint farther than the slack from
-    the window's edges (see ``_zones``), and those verdicts are the ones
-    a probe would give, so the midpoints and the result are the same.
+    where ``invert`` raises HorizonExceeded; it depends on that value
+    alone.  Only an ode-time functional, a closed form, is inverted; a
+    gain-time one raises DomainError.  That, every value, and whether F
+    diverges are checked before the first probe.
+
+    The shape's exact inverse at y -+ tol, with its rounding slack,
+    decides every point farther than the slack from the tolerance
+    window's edges (see ``_zones``), with the verdict a probe would give.
+    Those verdicts pick the bracket end la + 2^j without a probe unless
+    it lies near the window, and a value whose window starts past the log
+    range is inf at once.  Without them (y - tol <= 0, or an inverse that
+    is not finite), one probe at the last end inside the range tells
+    whether the value is past it; this is the one step that assumes F
+    nondecreasing.  The bisection then probes only near the window.
     """
     if functional.kind is not FunctionalKind.ODE_TIME:
         raise DomainError(f"{functional.describe()} has no closed form to invert")
@@ -397,28 +369,28 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
     la, scale = functional.log_lower, functional.scale
     value_at = _evaluator(functional)
     inverse = functional.coeff.closed_ode_inverse(la)
-    rungs: dict[float, float] = {}  # F at la + 2^j; at most _TOP_DOUBLING + 1 entries
-
-    def rung(hi: float) -> float:
-        if hi not in rungs:
-            rungs[hi] = value_at(hi)
-        return rungs[hi]
-
-    last_y, last_j = math.inf, 0  # the last bracketed value and its j
     out = []
     for y in values:
         if y == 0.0 or y == math.inf:
             out.append(la if y == 0.0 else math.inf)
             continue
-        start = last_j if y >= last_y else 0
-        last_y = y
-        last_j = _bracket_exponent(rung, la, y, start)
-        lo, hi = la, la + 2.0 ** last_j
+        tol = 1e-9 * (1.0 + abs(y))
+        right, inside_lo, inside_hi, left = _zones(inverse, y, tol, scale)
+        if right > INVERT_LOG_RANGE or (
+                right == -math.inf and value_at(la + 2.0 ** (_TOP_DOUBLING - 1)) < y):
+            out.append(math.inf)
+            continue
+        # every end below right falls short, so the least j starts at j0
+        j = math.frexp(right - la)[1] - 1 if right > la + 1.0 else 0
+        hi = la + 2.0 ** j
+        while hi <= INVERT_LOG_RANGE and not hi > left and (
+                hi < right or value_at(hi) < y):
+            j += 1
+            hi = la + 2.0 ** j
         if hi > INVERT_LOG_RANGE:
             out.append(math.inf)
             continue
-        tol = 1e-9 * (1.0 + abs(y))
-        right, inside_lo, inside_hi, left = _zones(inverse, y, tol, scale)
+        lo = la
         while True:
             mid = 0.5 * (lo + hi)
             if not lo < mid < hi:
@@ -445,13 +417,13 @@ def invert(functional: GrowthFunctional, y: float) -> float:
     """log x such that F(x)/scale = y, for diverging closed-form functionals.
 
     The one-value case of ``invert_many``: bisection on [la, la + 2^j],
-    for the least j >= 0 with F(la + 2^j)/scale >= y, until the residual
-    is within 1e-9 * (1 + |y|) or no double lies strictly inside the
-    bracket, where F's step between adjacent doubles of log x is coarser
-    than the tolerance.  That j is found by galloping over the doubling
-    exponent and bisecting it (see ``_bracket_exponent``).  A bracket past
-    log x = 1e300 means the inverse is not representable and raises
-    HorizonExceeded; a gain-time functional raises DomainError.
+    for the least j >= 0 with la + 2^j past the log range or
+    F(la + 2^j)/scale >= y, until the residual is within
+    1e-9 * (1 + |y|) or no double lies strictly inside the bracket, where
+    F's step between adjacent doubles of log x is coarser than the
+    tolerance.  A bracket past log x = 1e300 means the inverse is not
+    representable and raises HorizonExceeded; a gain-time functional
+    raises DomainError.
     """
     (log_x,) = invert_many(functional, [y])
     if log_x == math.inf:
