@@ -82,6 +82,13 @@ def _exp(v: float) -> float:
         return math.inf
 
 
+def _expm1(v: float) -> float:
+    try:
+        return math.expm1(v)
+    except OverflowError:
+        return math.inf
+
+
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise DomainError(message)
@@ -291,9 +298,11 @@ class Power(CoefficientSpec):
         c, beta = self.coefficient, self.exponent
         if beta == 1.0:
             return lambda u: (u - la) / c
+        # e^{k la} (e^{k(u - la)} - 1)/(ck), k = 1 - beta: expm1 keeps the
+        # digits that subtracting e^{k la} from e^{ku} would cancel
         k = 1.0 - beta
         lo, ck = _exp(k * la), c * k
-        return lambda u: (_exp(k * u) - lo) / ck
+        return lambda u: lo * _expm1(k * (u - la)) / ck
 
     def closed_ode_inverse(self, la: float) -> ClosedInverse:
         c, beta = self.coefficient, self.exponent
@@ -305,16 +314,19 @@ class Power(CoefficientSpec):
                 u = la + c * y
                 return u, _SLACK * 12.0 * (abs(u) + abs(la))
             return inverse
-        # V = (e^{ku} - e^{k la})/(ck), k = 1 - beta; with a = e^{ku},
-        # V' = a/c, R = cY/a and q = max(1, e^{k la}/a) (q > 1 only for
-        # beta > 1, a bounded functional).  Forward: ku and the exp,
-        # 2e(|ku| + 1) relative on e^{ku}, the same on e^{k la}, then the
-        # subtraction, ck and two divisions, 5e|D| on D = e^{ku} - e^{k la};
-        # over the slope k a that is q e(2|u| + 2|la| + 4/|k|) + 5eR.
+        # V = e^{k la} expm1(w)/(ck), k = 1 - beta, w = k(u - la); with
+        # a = e^{ku}, V' = a/c, R = cY/a and q = max(1, e^{k la}/a) (q > 1
+        # only for beta > 1, a bounded functional), so |k| R <= q.  k and
+        # ck are rounded once and shared with the closed form, so V takes
+        # their float values: that rounding moves V, not a verdict on it.
+        # Forward: the subtraction and the product put 2e|w| on w, which
+        # moves V by 2e|w| a/(ck), 2e|u - la| over the slope; k la and the
+        # exp put e(|k la| + 2) relative on e^{k la}; expm1, the product
+        # and two divisions 5e relative: 2e|u - la| + qe|la| + 7eR.
         # u = log(e^{k la} + ckY)/k: the sum is off by q e(2|k la| + 7)
         # relative, the log adds 2e|ku|, k and the division 2e|u|, so
         # q e(2|la| + 7/|k|) + 4e|u|.  y -+ tol and the test: eR + 2e|u|.
-        # Sum: q e(8|u| + 4|la| + 11/|k|) + 6eR.
+        # Sum: q e(6|u| + 2|u - la| + 3|la| + 7/|k|) + 8eR.
         k = 1.0 - beta
         lo, ck = _exp(k * la), c * k
 
@@ -324,8 +336,8 @@ class Power(CoefficientSpec):
                 return None
             u = math.log(a) / k
             q = max(1.0, lo / a)
-            return u, _SLACK * (q * (8.0 * abs(u) + 4.0 * abs(la) + 12.0 / abs(k))
-                                + 8.0 * c * y / a)
+            return u, _SLACK * (q * (6.0 * abs(u) + 2.0 * abs(u - la) + 3.0 * abs(la)
+                                     + 8.0 / abs(k)) + 8.0 * c * y / a)
         return inverse
 
 

@@ -629,7 +629,7 @@ def test_envelope_margins_report_overflowing_levels_as_inf():
 # every midpoint 15.6 per row on envelope_sublinear
 MARGIN_COLUMNS = {
     "envelope_rv1": (1605, 13),
-    "envelope_sublinear": (20011, 163),
+    "envelope_sublinear": (20011, 150),
     "envelope_poly": (2405, 6),
 }
 

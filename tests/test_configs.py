@@ -57,6 +57,13 @@ STDOUT = REFERENCE_STDOUT | VERIFY_STDOUT
 # the SHA-256 of the out= file of each reference run with one, by config
 REFERENCE_OUT = {run["argv"][0]: run["out_sha256"]
                  for run in REFERENCE_RUNS if run["out_sha256"]}
+# Power's ode-time closed form keeps its digits through expm1 near exponent
+# 1, which moves sublinear_n10's functional and ratio columns by at most
+# 1.6e-15 relative; the reference recorded d4428d75... before that change
+OUT = REFERENCE_OUT | {
+    "configs/sublinear_n10.cfg":
+        "7314a9aee9f191b7776a6cd4663ac6ff180d5488611deed4d8d28010cc39f1fa",
+}
 
 # distinct trajectory fingerprints each config simulates, in run order; a
 # changed Euler bit anywhere in the corpus shows up here
@@ -142,7 +149,7 @@ def test_out_files_match_the_reference_bytes(config, tmp_path, capsys):
     code = main([str(ROOT / config), f"out={target}"])
     captured = capsys.readouterr()
     assert code == 0, captured.err
-    assert hashlib.sha256(target.read_bytes()).hexdigest() == REFERENCE_OUT[config]
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == OUT[config]
 
 
 def test_undelayed_run_matches_its_golden_fingerprint():

@@ -47,6 +47,16 @@ def test_sublinear_power():
     assert evaluate(F, math.log(9.0)) == pytest.approx(2.0)       # sqrt(9) - 1
 
 
+@pytest.mark.parametrize("beta", [0.999999999, 0.9999, 0.5])
+@pytest.mark.parametrize("u", [2.0, 10.0, 100.0])
+def test_sublinear_power_keeps_its_digits_near_exponent_one(beta, u):
+    # (e^{ku} - e^{k la})/(ck) with k = 1 - beta cancels about log10(1/k)
+    # digits; for beta = 0.999999999 it was 1.1e-7 off at u = 2
+    shape, la = Power(1.0, beta), 1.0
+    value, _ = oracle.ode_value(shape, la, u)
+    assert abs(shape.closed_ode(la)(u) - value) <= 4e-16 * value
+
+
 def test_powerlog_unit_power():
     F = ode_time(PowerLog(1.0, 1.0, 1.0), math.e)
     assert evaluate(F, math.e) == pytest.approx(1.0)              # log log x
