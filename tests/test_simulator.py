@@ -1,11 +1,11 @@
 import io
 import math
 import tracemalloc
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from delaygrowth.coefficients import (
     CoefficientSpec, Constant, ExpLogPow, Linear, Power, PowerLog, Zero,
@@ -200,6 +200,33 @@ def test_both_steppers_report_an_undefined_state_alike(n):
     assert messages[0] == messages[1]
     with pytest.raises(SimulationError):
         simulate_euler(sc)
+
+
+# ---------------------------------------------------------------------------
+# the discrete comparison principle, on both kernels: where g is
+# nondecreasing, a larger history or a larger coefficient of g never gives
+# a smaller state
+
+_GAP = st.floats(-15.0, -1.0).map(lambda e: 10.0 ** e)
+
+
+@settings(deadline=None)
+@given(g=_CATALOG, f=st.sampled_from([Zero(), Power(1.0, 0.5)]),
+       n=st.sampled_from([1, 2, 4, 7, 16]), levels=st.tuples(_LEVEL, _LEVEL),
+       gaps=st.tuples(_GAP, _GAP, _GAP))
+def test_a_larger_history_or_delayed_term_never_gives_a_smaller_state(g, f, n, levels, gaps):
+    floor = max(g.monotone_from, 1.0)
+    assume(floor < 1e100)
+    start, end = (floor * v for v in levels)
+    low = Scenario(f=f, g=g, tau=1.0, steps_per_delay=n,
+                   history=RampHistory(start, end), horizon=15.0)
+    above = [replace(low, history=RampHistory(start * (1.0 + gaps[0]), end * (1.0 + gaps[1]))),
+             replace(low, g=replace(g, coefficient=g.coefficient * (1.0 + gaps[2])))]
+    lower = simulate_euler(low).log_states
+    for high in above:
+        upper = simulate_euler(high).log_states
+        both = min(len(lower), len(upper))
+        assert np.all(lower[:both] <= upper[:both])
 
 
 def test_window_memory_follows_the_steps_taken():
