@@ -149,7 +149,8 @@ _UNSUPPORTED = Regime(RegimeKind.UNSUPPORTED)
 # ``functionals.invert_many`` decides from these pairs, without probing,
 # both its bracket ends la + 2^j and its bisection midpoints, so slack
 # bounds, in u, every rounding that can separate a probe's verdict from
-# the exact functional V (exact parameters, exact arithmetic) near u:
+# the exact functional V near u (exact arithmetic, on exact parameters or
+# on rounded ones that the closed form and its inverse compute alike):
 # - the closed form's forward error at a point m, over the slope V'(m),
 #   with the division by the functional's scale;
 # - the error of u itself;
@@ -316,8 +317,8 @@ class Power(CoefficientSpec):
             return inverse
         # V = e^{k la} expm1(w)/(ck), k = 1 - beta, w = k(u - la); with
         # a = e^{ku}, V' = a/c, R = cY/a and q = max(1, e^{k la}/a) (q > 1
-        # only for beta > 1, a bounded functional), so |k| R <= q.  k and
-        # ck are rounded once and shared with the closed form, so V takes
+        # only for beta > 1, a bounded functional), so |k| R <= q.  The
+        # closed form computes k and ck as the inverse does, so V takes
         # their float values: that rounding moves V, not a verdict on it.
         # Forward: the subtraction and the product put 2e|w| on w, which
         # moves V by 2e|w| a/(ck), 2e|u - la| over the slope; k la and the

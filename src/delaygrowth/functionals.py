@@ -376,15 +376,17 @@ def invert_many(functional: GrowthFunctional, ys: Sequence[float]) -> list[float
             continue
         tol = 1e-9 * (1.0 + abs(y))
         right, inside_lo, inside_hi, left = _zones(inverse, y, tol, scale)
+        # the least j whose end la + 2^j is past the log range or reaches y;
+        # right is -inf where the inverse certifies nothing
         if right > INVERT_LOG_RANGE or (
                 right == -math.inf and value_at(la + 2.0 ** (_TOP_DOUBLING - 1)) < y):
-            out.append(math.inf)
-            continue
-        # every end below right falls short, so the least j starts at j0
-        j = math.frexp(right - la)[1] - 1 if right > la + 1.0 else 0
+            j = _TOP_DOUBLING      # every end inside the range falls short
+        elif right > la + 1.0:
+            j = math.frexp(right - la)[1] - 1   # every end below right falls short
+        else:
+            j = 0
         hi = la + 2.0 ** j
-        while hi <= INVERT_LOG_RANGE and not hi > left and (
-                hi < right or value_at(hi) < y):
+        while hi <= INVERT_LOG_RANGE and hi <= left and (hi < right or value_at(hi) < y):
             j += 1
             hi = la + 2.0 ** j
         if hi > INVERT_LOG_RANGE:
