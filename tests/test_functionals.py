@@ -15,7 +15,7 @@ from delaygrowth.errors import DomainError, HorizonExceeded
 from delaygrowth.functionals import (
     INVERT_LOG_RANGE, QUAD_REL_TOL, FunctionalKind, GrowthFunctional,
     NestedLogProduct, default_ode_lower, diverges, evaluate, evaluate_many,
-    gain_time, invert, invert_many, ode_time, _adaptive, _evaluator, _panel,
+    gain_time, invert, invert_many, ode_time, _adaptive, _panel,
 )
 
 import oracle
