@@ -324,21 +324,24 @@ class Power(CoefficientSpec):
         # moves V by 2e|w| a/(ck), 2e|u - la| over the slope; k la and the
         # exp put e(|k la| + 2) relative on e^{k la}; expm1, the product
         # and two divisions 5e relative: 2e|u - la| + qe|la| + 7eR.
-        # u = log(e^{k la} + ckY)/k: the sum is off by q e(2|k la| + 7)
-        # relative, the log adds 2e|ku|, k and the division 2e|u|, so
-        # q e(2|la| + 7/|k|) + 4e|u|.  y -+ tol and the test: eR + 2e|u|.
-        # Sum: q e(6|u| + 2|u - la| + 3|la| + 7/|k|) + 8eR.
+        # u = la + log1p(r)/k with r = ckY/e^{k la}: r is off by
+        # e(|k la| + 4) relative, which log1p turns into that times
+        # |r/(1 + r)| = |k| R, over k: qe|la| + 4eR; log1p and the
+        # division 3e|u - la|, the sum e|u|.  No term grows like 1/|k|:
+        # log1p keeps the digits that log(e^{k la} + ckY)/k would cancel.
+        # y -+ tol and the test: eR + 2e|u|.  Sum: e(3|u| + 5|u - la| + 2q|la| + 12R).
         k = 1.0 - beta
         lo, ck = _exp(k * la), c * k
 
         def inverse(y: float) -> tuple[float, float] | None:
-            a = lo + ck * y
-            if not a > 0.0:
+            # e^{k la} leaves the double range only for beta > 1: bounded, never inverted
+            r = ck * y / lo if 0.0 < lo < math.inf else -1.0
+            if not r > -1.0:
                 return None
-            u = math.log(a) / k
-            q = max(1.0, lo / a)
-            return u, _SLACK * (q * (6.0 * abs(u) + 2.0 * abs(u - la) + 3.0 * abs(la)
-                                     + 8.0 / abs(k)) + 8.0 * c * y / a)
+            u = la + math.log1p(r) / k
+            q = max(1.0, 1.0 / (1.0 + r))
+            return u, _SLACK * (3.0 * abs(u) + 5.0 * abs(u - la) + 2.0 * q * abs(la)
+                                + 12.0 * r / (k * (1.0 + r)))
         return inverse
 
 

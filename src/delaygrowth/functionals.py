@@ -281,19 +281,25 @@ def evaluate(functional: GrowthFunctional, log_x: float) -> float:
 def evaluate_many(functional: GrowthFunctional, log_xs: Sequence[float]) -> list[float]:
     """Evaluate at many points, checking them and doing the lower-limit work once.
 
-    The values are those of ``evaluate``, bit for bit, except for sorted
-    gain-time arguments: those are handled incrementally, one quadrature
-    per gap, so a whole trajectory costs what its largest argument costs.
+    A finite sum and a least point at or above the lower reference clear
+    every argument; otherwise each is checked in turn, so the first bad
+    one raises what ``evaluate`` raises.  The values are those of
+    ``evaluate``, bit for bit, except for sorted gain-time arguments:
+    those are handled incrementally, one quadrature per gap, so a whole
+    trajectory costs what its largest argument costs.
     """
-    points = [float(v) for v in log_xs]
+    points = list(map(float, log_xs))
     if not points:
         return []
     la = functional.log_lower
-    for v in points:
-        _check_argument(la, v)
+    if not (math.isfinite(sum(points)) and min(points) >= la):
+        for v in points:
+            _check_argument(la, v)
+    if functional.kind is FunctionalKind.ODE_TIME:
+        closed, scale = functional.coeff.closed_ode(la), functional.scale
+        return [0.0 if v == la else closed(v) / scale for v in points]
     value_at = _evaluator(functional)
-    ascending = all(b >= a for a, b in zip(points, points[1:]))
-    if functional.kind is FunctionalKind.ODE_TIME or not ascending:
+    if not all(b >= a for a, b in zip(points, points[1:])):
         return [value_at(v) for v in points]
     fn, scale = _integrand(functional), functional.scale
     out = [value_at(points[0])]

@@ -31,20 +31,19 @@ LOG_CAP = 1e308
 _NEG_INF = float("-inf")
 
 
-def _capped(log_value: float) -> float:
-    if log_value > LOG_CAP:
-        raise HorizonExceeded(f"log value {log_value!r} exceeds the cap {LOG_CAP:g}")
-    return log_value
-
-
 def log_add(x: float, y: float) -> float:
     """log(a + b) from x = log a and y = log b."""
     if x == _NEG_INF:
         return y
     if y == _NEG_INF:
         return x
-    hi, lo = (x, y) if x >= y else (y, x)
-    return _capped(hi + math.log1p(math.exp(lo - hi)))
+    if x < y:
+        x, y = y, x
+    # a NaN operand gives a NaN total, which passes the cap test
+    total = x + math.log1p(math.exp(y - x))
+    if total > LOG_CAP:
+        raise HorizonExceeded(f"log value {total!r} exceeds the cap {LOG_CAP:g}")
+    return total
 
 
 def log_scale(x: float, c: float) -> float:
@@ -53,4 +52,7 @@ def log_scale(x: float, c: float) -> float:
         raise DomainError(f"scale factor must be positive and finite, got {c!r}")
     if x == _NEG_INF:
         return x
-    return _capped(x + math.log(c))
+    total = x + math.log(c)
+    if total > LOG_CAP:
+        raise HorizonExceeded(f"log value {total!r} exceeds the cap {LOG_CAP:g}")
+    return total

@@ -8,7 +8,10 @@ update is
 with x on the history segment [-tau, 0] given by a history function.  All
 states are carried in the log domain; a run that outgrows the log cap is
 returned truncated rather than failing, since reaching the cap quickly is
-exactly what the fast regimes do.  A trajectory holds its states as one
+exactly what the fast regimes do.  Both kernels take log h once per run
+and read each term's ``log_term`` with no domain check: the scenario has
+checked x[0] against f and every history point against g, and states
+past t = 0 never fall below x[0].  A trajectory holds its states as one
 read-only float64 array; readers that format or compute with states take
 them as Python floats (``state(n)``, or one ``.tolist()`` of the array).
 
@@ -245,24 +248,30 @@ def simulate_euler(scenario: Scenario) -> Trajectory:
 
 def _step_singly(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, bool]:
     """The states after ``history``, one Euler step at a time, and whether
-    the cap cut the run."""
-    n_delay = scenario.steps_per_delay
-    h = scenario.h
-    f_log, g_log = scenario.f.value_log, scenario.g.value_log
+    the cap cut the run.
+
+    Each step adds log f(x[n]) + log h and log g(x[n-N]) + log h to x[n]
+    with two ``log_add``.  A sum or a term past the cap truncates the run
+    before a NaN state raises SimulationError; a NaN sum hides g's term
+    from ``log_add``'s cap test, so that term is tested on its own.
+    """
+    log_h = log_scale(0.0, scenario.h)
+    f_term, g_term = scenario.f.log_term, scenario.g.log_term
     states = list(history)
-    truncated = False
-    for _ in range(scenario.planned_steps()):
-        current = states[-1]
+    state = states[-1]
+    # each step reads the delayed state x[n-N], the next one of the
+    # growing list not yet read
+    for delayed in itertools.islice(states, scenario.planned_steps()):
         try:
-            step = log_add(current, log_scale(f_log(current), h))
-            step = log_add(step, log_scale(g_log(states[-1 - n_delay]), h))
+            state = log_add(log_add(state, f_term(state) + log_h), g_term(delayed) + log_h)
         except HorizonExceeded:
-            truncated = True
-            break
-        if math.isnan(step):
+            return np.array(states), True
+        if state != state:      # NaN
+            if g_term(delayed) + log_h > LOG_CAP:
+                return np.array(states), True
             raise SimulationError(f"state became undefined after {len(states)} samples")
-        states.append(step)
-    return np.array(states), truncated
+        states.append(state)
+    return np.array(states), False
 
 
 def _step_windows(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, bool]:
@@ -271,12 +280,10 @@ def _step_windows(scenario: Scenario, history: list[float]) -> tuple[np.ndarray,
 
     The N steps after state n read only states n-N .. n, so a window is the
     running log-sum of its seed x[n] and the terms log h + log g(x[k]),
-    computed in place in the state buffer.  No domain check is needed:
-    states past t = 0 never fall below x[0], and the scenario has checked
-    every history point against g.
+    computed in place in the state buffer.
     """
     n_delay = scenario.steps_per_delay
-    log_h = math.log(scenario.h)
+    log_h = log_scale(0.0, scenario.h)
     log_terms = scenario.g.log_terms
     planned = scenario.planned_steps()
     full, rest = divmod(planned, n_delay)

@@ -656,6 +656,20 @@ def test_envelope_margins_probe_only_near_each_window(probes, name):
     assert [env.hex() for _, _, env in rows] == [per_row(n).hex() for n in traj.indices()]
 
 
+def test_margins_near_exponent_one_probe_only_near_each_window(probes):
+    # the inverse of power(1, 1 - 1e-9) is taken with log1p, so its slack
+    # is about 2e-10 in log x and certifies almost every row: 4 probes over
+    # 405 rows (log(e^{k la} + ckY)/k would cancel 9 digits, and a slack of
+    # 9e-4 to cover them leaves 5,197)
+    sc = scenario(g=Power(1.0, 0.999999999), horizon=100.0)
+    params = derive_envelope_params(sc, 0.5)
+    traj = simulate_euler(sc)
+    probes.clear()
+    rows = envelope_margins(traj, params)
+    assert len(rows) == 405
+    assert len(probes) <= 4
+
+
 def test_envelope_refused_without_a_comparison_scale():
     sc = scenario(g=PowerLog(1.0, 1.0, 2.0), history=ConstantHistory(2.0))
     with pytest.raises(DomainError) as err:

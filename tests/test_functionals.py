@@ -553,13 +553,28 @@ def test_the_functional_is_plus_zero_at_its_lower_reference(F):
                          ids=GrowthFunctional.describe)
 @pytest.mark.parametrize("bad", [0.0, -math.inf, math.inf, math.nan])
 def test_evaluate_many_raises_what_evaluate_raises(F, bad):
+    # the first bad point raises, as the first, a middle or the last one
+    # (0.0 lies below la); a NaN in the middle is one that min() passes
     la = F.log_lower
-    points = [la + 1.0, la + 2.0, bad, la + 3.0, la - 1.0]
-    with pytest.raises(DomainError) as many:
-        evaluate_many(F, points)
-    with pytest.raises(DomainError) as single:
-        [evaluate(F, v) for v in points]
-    assert str(many.value) == str(single.value)
+    good = [la + 1.0, la + 2.0, la + 3.0]
+    for points in ([bad] + good + [la - 1.0], good[:2] + [bad, good[2], la - 1.0],
+                   good + [bad]):
+        with pytest.raises(DomainError) as many:
+            evaluate_many(F, points)
+        with pytest.raises(DomainError) as single:
+            [evaluate(F, v) for v in points]
+        assert str(many.value) == str(single.value)
+
+
+@pytest.mark.parametrize("F", [ode_time(Constant(2.0), 2.0), ode_time(Linear(2.0), math.e),
+                               ode_time(Power(1.0, 0.5), 1.0)],
+                         ids=GrowthFunctional.describe)
+def test_evaluate_many_takes_a_column_whose_sum_overflows(F):
+    # every point is valid, but their sum is inf, so each is checked alone
+    points = [1e308, 1.5e308, F.log_lower, 1.7e308]
+    assert math.isinf(sum(points))
+    assert [v.hex() for v in evaluate_many(F, points)] == \
+        [evaluate(F, v).hex() for v in points]
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from delaygrowth.coefficients import (
     CoefficientSpec, Constant, ExpLogPow, Linear, Power, PowerLog, Zero,
     LinTimesExpLogPow,
 )
-from delaygrowth.errors import DomainError
+from delaygrowth.errors import DomainError, HorizonExceeded
 from delaygrowth.functionals import ode_time
-from delaygrowth.logdomain import LOG_CAP
+from delaygrowth.logdomain import LOG_CAP, log_add, log_scale
 from delaygrowth.simulator import (
     MAX_STEPS, ConstantHistory, History, RampHistory, Scenario, SimulationError, Trajectory,
     parse_history, simulate_euler, write_trajectory_csv, _step_singly, _step_windows,
@@ -124,7 +124,33 @@ def test_direct_route_truncates_at_its_cap():
 
 
 # ---------------------------------------------------------------------------
-# the window kernel (f = 0) against the per-step loop
+# both kernels against the reference kernel, and each other
+
+def reference_kernel(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, bool]:
+    """The Euler step term by term: each term through the domain check of
+    ``value_log`` and through ``log_scale``, then two ``log_add``.
+
+    ``_step_singly`` and ``_step_windows`` must give its states, its
+    truncation and its errors bit for bit.
+    """
+    n_delay = scenario.steps_per_delay
+    h = scenario.h
+    f_log, g_log = scenario.f.value_log, scenario.g.value_log
+    states = list(history)
+    truncated = False
+    for _ in range(scenario.planned_steps()):
+        current = states[-1]
+        try:
+            step = log_add(current, log_scale(f_log(current), h))
+            step = log_add(step, log_scale(g_log(states[-1 - n_delay]), h))
+        except HorizonExceeded:
+            truncated = True
+            break
+        if math.isnan(step):
+            raise SimulationError(f"state became undefined after {len(states)} samples")
+        states.append(step)
+    return np.array(states), truncated
+
 
 def run_with(stepper, sc):
     states, truncated = stepper(sc, [math.log(v) for v in sc.history_samples()])
@@ -155,10 +181,35 @@ def zero_f_scenarios(draw):
                     history=history, horizon=steps * tau / n)
 
 
+# f for the per-step loop: zero, a power up to 1 and x times a power of log x
+_F = st.one_of(
+    st.just(Zero()),
+    st.builds(Power, _COEF, st.floats(0.0, 1.0)),
+    st.builds(PowerLog, _COEF, st.just(1.0), st.floats(-2.0, 3.0)),
+)
+
+
+@st.composite
+def step_scenarios(draw):
+    sc = draw(zero_f_scenarios())
+    return replace(sc, f=draw(_F))
+
+
+# both examples are cut by the cap, after 26 and 1,933 steps
+@settings(deadline=None)
+@given(step_scenarios())
+@example(Scenario(f=Power(1.0, 0.5), g=ExpLogPow(1.0, 2.5), tau=1.0, steps_per_delay=3,
+                  history=RampHistory(2.0, 50.0), horizon=40.0))
+@example(Scenario(f=PowerLog(2.0, 1.0, 3.0), g=Power(1.0, 3.0), tau=1.0, steps_per_delay=2,
+                  history=ConstantHistory(2.0), horizon=1000.0))
+def test_step_loop_matches_the_reference_kernel_bit_for_bit(sc):
+    assert run_with(_step_singly, sc) == run_with(reference_kernel, sc)
+
+
 @given(zero_f_scenarios())
 def test_window_kernel_matches_the_step_loop_bit_for_bit(sc):
     kernel = run_with(_step_windows, sc)
-    assert kernel == run_with(_step_singly, sc)
+    assert kernel == run_with(_step_singly, sc) == run_with(reference_kernel, sc)
     traj = simulate_euler(sc)
     assert ([v.hex() for v in traj.log_states.tolist()], traj.truncated) == kernel
     assert traj.log_states.dtype == np.float64
@@ -176,7 +227,7 @@ def test_window_kernel_truncates_where_the_step_loop_does(kw):
     sc = scenario(**kw)
     kernel = run_with(_step_windows, sc)
     assert kernel[1]
-    assert kernel == run_with(_step_singly, sc)
+    assert kernel == run_with(_step_singly, sc) == run_with(reference_kernel, sc)
 
 
 @dataclass(frozen=True)
@@ -200,6 +251,57 @@ def test_both_steppers_report_an_undefined_state_alike(n):
     assert messages[0] == messages[1]
     with pytest.raises(SimulationError):
         simulate_euler(sc)
+
+
+@dataclass(frozen=True)
+class SwitchPast(CoefficientSpec):
+    """log F(x) = log x up to ``bound``, ``beyond`` past it."""
+
+    bound: float
+    beyond: float
+
+    def log_term(self, u: float) -> float:
+        return u if u <= self.bound else self.beyond
+
+
+def switching_at(n: int, step: int, f_beyond: float, g_beyond: float) -> Scenario:
+    """A run with f = g = x whose step to index ``step`` reads f's term
+    ``f_beyond`` at the current state and g's ``g_beyond`` at the delayed
+    one, each for the first time."""
+    plain = scenario(f=SwitchPast(math.inf, math.nan), g=SwitchPast(math.inf, math.nan),
+                     steps_per_delay=n, horizon=20.0)
+    traj = simulate_euler(plain)
+    states = dict(zip(traj.indices(), traj.log_states.tolist()))
+
+    def between(k):
+        return 0.5 * (states[k - 1] + states[k])
+    return replace(plain, f=SwitchPast(between(step - 1), f_beyond),
+                   g=SwitchPast(between(step - 1 - n), g_beyond))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_a_term_past_the_cap_truncates_before_a_nan_term_fails(n):
+    # f's term is NaN and g's is past the cap at the same step: the sum is
+    # NaN, but stepping each term through log_scale truncated first
+    step = n + 5
+    sc = switching_at(n, step, math.nan, 2.0 * LOG_CAP)
+    states, truncated = run_with(_step_singly, sc)
+    assert truncated and len(states) == n + step
+    assert (states, truncated) == run_with(reference_kernel, sc)
+    traj = simulate_euler(sc)
+    assert traj.truncated and traj.forward_steps == step - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_a_nan_term_alone_fails_as_the_reference_does(n):
+    step = n + 5
+    sc = replace(switching_at(n, step, math.nan, math.nan), g=SwitchPast(math.inf, math.nan))
+    messages = []
+    for stepper in (_step_singly, reference_kernel):
+        with pytest.raises(SimulationError) as err:
+            run_with(stepper, sc)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] == f"state became undefined after {n + step} samples"
 
 
 # ---------------------------------------------------------------------------
