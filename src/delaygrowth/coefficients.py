@@ -3,13 +3,13 @@
 A scenario's instantaneous term f and delayed term g are each drawn from a
 small closed family.  Every shape knows how to evaluate itself analytically
 in the log domain: given u = log x it returns log F(x) directly, so states
-of any magnitude cost one float expression; ``log_terms`` does the same
-for an array of u, bit for bit.  A shape has no direct float value F(x):
-the test suite checks each shape's mathematics against a symbolic table
-of F(x), written independently of the formulas here.  Shapes also expose
-their domain threshold (the scale above which they are positive and
-continuous), the scale beyond which they are nondecreasing, and a textual
-syntax used by config files:
+of any magnitude cost one float expression; the shapes affine in u also
+have ``log_terms``, the same for an array of u, bit for bit.  A shape has
+no direct float value F(x): the test suite checks each shape's mathematics
+against a symbolic table of F(x), written independently of the formulas
+here.  Shapes also expose their domain threshold (the scale above which
+they are positive and continuous), the scale beyond which they are
+nondecreasing, and a textual syntax used by config files:
 
     zero | const(c) | power(c,beta) | linear(C) | xexplogpow(c,alpha)
          | explogpow(c,alpha) | powerlog(c,beta,gamma)
@@ -183,8 +183,10 @@ class CoefficientSpec:
     Subclasses set ``_MIN_LOG_ARG`` (log of the smallest admissible
     argument) and ``_MIN_INCLUSIVE`` (whether that bound itself is
     admissible), implement ``log_term``, and override ``regime`` and the
-    closed form with its divergence rule where they have them.  There
-    is no direct float value: F(x) itself is never needed, only log F.
+    closed form with its divergence rule where they have them.  Only
+    ``power`` (so ``const`` and ``linear`` too) has ``log_terms``, the
+    log term over a float64 array, bit for bit; it is None on the others.
+    There is no direct float value: F(x) itself is never needed, only log F.
     """
 
     _MIN_LOG_ARG = -math.inf
@@ -193,14 +195,9 @@ class CoefficientSpec:
     def log_term(self, u: float) -> float:
         raise NotImplementedError
 
-    def log_terms(self, us: np.ndarray) -> np.ndarray:
-        """``log_term`` at each u of a float array, mapped over Python floats.
-
-        Shapes affine in u override this with array arithmetic; numpy's
-        ``log``, ``exp``, ``log1p`` and ``**`` do not round like the math
-        module's, so the other shapes keep the scalar formula.
-        """
-        return np.array([self.log_term(u) for u in us.tolist()])
+    # None: numpy's ``log``, ``exp``, ``log1p`` and ``**`` do not round like
+    # the math module's, so only the shapes affine in u have an array form
+    log_terms = None
 
     def supports(self, u: float) -> bool:
         """Whether log x = u lies in this shape's domain."""

@@ -15,17 +15,16 @@ past t = 0 never fall below x[0].  A trajectory holds its states as one
 read-only float64 array; readers that format or compute with states take
 them as Python floats (``state(n)``, or one ``.tolist()`` of the array).
 
-When f is zero and N >= ``WINDOW_MIN_STEPS``, the run advances one delay
-window at a time (the method of steps): the N states after x[n] depend only
-on x[n-N] .. x[n], so the window is one ``np.logaddexp.accumulate`` seeded
-with x[n] over the terms log g(x[k]) + log h.  The states are bit-identical
-to the per-step loop, which f != 0 and small N keep.  That rests on numpy's
-``+``, ``*`` and ``logaddexp`` rounding like the scalar arithmetic, which
-holds; numpy's ``log``, ``exp``, ``log1p`` and ``**`` do not (on 500k
-inputs drawn from [0, 700] they differed from the math module on 60 for
-``log`` up to 26,750 for ``**1.7``), so only the shapes affine in log x
-(const, power, linear) evaluate g on an array, and the others map their
-scalar formula over the window.
+When f is zero, g has an array form (``log_terms``) and N >=
+``WINDOW_MIN_STEPS``, the run advances one delay window at a time (the
+method of steps): the N states after x[n] depend only on x[n-N] .. x[n], so
+the window is one ``np.logaddexp.accumulate`` seeded with x[n] over the
+terms log g(x[k]) + log h; every other run takes the per-step loop.  The
+states are bit-identical, since numpy's ``+``, ``*`` and ``logaddexp`` round
+like the scalar arithmetic.  Its ``log``, ``exp``, ``log1p`` and ``**`` do
+not (on 500k inputs drawn from [0, 700] they differed from the math module
+on 60 for ``log`` up to 26,750 for ``**1.7``), so only the shapes affine in
+log x (const, power, linear) have an array form.
 """
 
 from __future__ import annotations
@@ -43,10 +42,10 @@ from .errors import DomainError, HorizonExceeded, NumericError
 from .functionals import GrowthFunctional, evaluate_many
 from .logdomain import LOG_CAP, log_add, log_scale
 
-# Below this many steps per delay the per-step loop is faster: a window costs
-# a fixed handful of numpy calls (measured: 1.4-1.7x the loop's time at N = 2,
-# even at N = 3, about 15% less at N = 4, for const, power and xexplogpow).
-WINDOW_MIN_STEPS = 4
+# Below this many steps per delay the loop is as fast or faster.  Loop time over
+# window time, f = 0, on power(1,0.5), power(1,2) and linear(1): 0.5 at N = 4,
+# 0.9-1.0 at N = 8, 1.0-1.05 at N = 9, 1.1-1.15 at N = 10, 1.3-1.4 at N = 12.
+WINDOW_MIN_STEPS = 10
 
 # Most forward steps one run may plan: 512 MiB of float64 states.
 MAX_STEPS = 2**26
@@ -241,7 +240,8 @@ class Trajectory:
 def simulate_euler(scenario: Scenario) -> Trajectory:
     """Run the recursion in the log domain up to the horizon or the cap."""
     history = [math.log(v) for v in scenario.history_samples()]
-    windowed = isinstance(scenario.f, Zero) and scenario.steps_per_delay >= WINDOW_MIN_STEPS
+    windowed = (isinstance(scenario.f, Zero) and scenario.g.log_terms is not None
+                and scenario.steps_per_delay >= WINDOW_MIN_STEPS)
     states, truncated = (_step_windows if windowed else _step_singly)(scenario, history)
     return Trajectory(scenario=scenario, log_states=states, truncated=truncated)
 
@@ -276,7 +276,7 @@ def _step_singly(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, 
 
 def _step_windows(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, bool]:
     """The states after ``history``, one delay window at a time (f must be
-    zero), and whether the cap cut the run.
+    zero and g must have ``log_terms``), and whether the cap cut the run.
 
     The N steps after state n read only states n-N .. n, so a window is the
     running log-sum of its seed x[n] and the terms log h + log g(x[k]),

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from delaygrowth.coefficients import (
     Constant, ExpLogPow, LimitKind, Linear, LinTimesExpLogPow, Power, PowerLog,
-    Regime, RegimeKind, Zero, classify_regime, limit_probe, parse_coefficient,
+    Regime, RegimeKind, Zero, classify_regime, limit_probe, parse_coefficient, _SHAPES,
 )
 from delaygrowth.errors import DomainError
 from delaygrowth.functionals import NestedLogProduct
@@ -125,6 +125,14 @@ def test_const_and_linear_are_power_at_exponent_0_and_1(c, la, gaps):
         for u in us:
             assert _hex(shape.log_term(u)) == _hex(power.log_term(u))
             assert _hex(ode(u)) == _hex(ode_power(u))
+
+
+def test_only_the_shapes_affine_in_log_x_have_an_array_form():
+    # numpy's log, exp, log1p and ** round unlike math's, so no other shape
+    # can give log_term's bits over an array
+    assert {name for name, shape in _SHAPES.items() if shape.log_terms is not None} \
+        == {"const", "power", "linear"}
+    assert NestedLogProduct.log_terms is None
 
 
 @pytest.mark.parametrize("lam", [1.5, 2.0, 5.0])

@@ -13,10 +13,12 @@ from delaygrowth.coefficients import (
 )
 from delaygrowth.errors import DomainError, HorizonExceeded
 from delaygrowth.functionals import ode_time
+from delaygrowth import simulator
 from delaygrowth.logdomain import LOG_CAP, log_add, log_scale
 from delaygrowth.simulator import (
-    MAX_STEPS, ConstantHistory, History, RampHistory, Scenario, SimulationError, Trajectory,
-    parse_history, simulate_euler, write_trajectory_csv, _step_singly, _step_windows,
+    MAX_STEPS, WINDOW_MIN_STEPS, ConstantHistory, History, RampHistory, Scenario,
+    SimulationError, Trajectory, parse_history, simulate_euler, write_trajectory_csv,
+    _step_singly, _step_windows,
 )
 from oracle import float_function
 from undelayed import undelayed_log_states
@@ -158,10 +160,14 @@ def run_with(stepper, sc):
 
 
 _COEF = st.floats(0.1, 5.0)
-_CATALOG = st.one_of(
+# the shapes with an array form, the only ones the window kernel takes
+_ARRAY_FORM = st.one_of(
     st.builds(Constant, _COEF),
     st.builds(Power, _COEF, st.floats(0.0, 3.0)),
     st.builds(Linear, _COEF),
+)
+_CATALOG = st.one_of(
+    _ARRAY_FORM,
     st.builds(LinTimesExpLogPow, _COEF, st.floats(0.1, 1.5)),
     st.builds(ExpLogPow, _COEF, st.floats(0.5, 2.5)),
     st.tuples(_COEF, st.floats(0.0, 3.0), st.floats(-2.0, 3.0))
@@ -171,13 +177,13 @@ _LEVEL = st.floats(1.01, 1e4)
 
 
 @st.composite
-def zero_f_scenarios(draw):
-    n = draw(st.integers(1, 40))
+def zero_f_scenarios(draw, shapes=_CATALOG):
+    n = draw(st.integers(1, 4 * WINDOW_MIN_STEPS))     # across the window threshold
     tau = draw(st.sampled_from([0.5, 1.0, 3.0]))
     history = draw(st.one_of(st.builds(ConstantHistory, _LEVEL),
                              st.builds(RampHistory, _LEVEL, _LEVEL)))
     steps = draw(st.integers(1, 25 * n + n - 1))     # often a partial last window
-    return Scenario(f=Zero(), g=draw(_CATALOG), tau=tau, steps_per_delay=n,
+    return Scenario(f=Zero(), g=draw(shapes), tau=tau, steps_per_delay=n,
                     history=history, horizon=steps * tau / n)
 
 
@@ -206,7 +212,7 @@ def test_step_loop_matches_the_reference_kernel_bit_for_bit(sc):
     assert run_with(_step_singly, sc) == run_with(reference_kernel, sc)
 
 
-@given(zero_f_scenarios())
+@given(zero_f_scenarios(_ARRAY_FORM))
 def test_window_kernel_matches_the_step_loop_bit_for_bit(sc):
     kernel = run_with(_step_windows, sc)
     assert kernel == run_with(_step_singly, sc) == run_with(reference_kernel, sc)
@@ -220,14 +226,34 @@ def test_window_kernel_matches_the_step_loop_bit_for_bit(sc):
     dict(g=Power(1.0, 2.0), history=ConstantHistory(2.0), horizon=2000.0),
     dict(g=Power(1.0, 2.0), steps_per_delay=7, history=RampHistory(1e300, 2.0),
          horizon=2000.0),
-    dict(g=ExpLogPow(1.0, 2.0), steps_per_delay=8, horizon=100.0),
-    dict(g=ExpLogPow(1.0, 2.0), steps_per_delay=3, horizon=100.0),
+    dict(g=Power(1.0, 3.0), steps_per_delay=8, horizon=1000.0),
+    dict(g=Power(1.0, 3.0), steps_per_delay=3, horizon=1000.0),
 ])
 def test_window_kernel_truncates_where_the_step_loop_does(kw):
     sc = scenario(**kw)
     kernel = run_with(_step_windows, sc)
     assert kernel[1]
     assert kernel == run_with(_step_singly, sc) == run_with(reference_kernel, sc)
+
+
+@pytest.mark.parametrize("f,g,n,kernel", [
+    (Zero(), Power(1.0, 2.0), WINDOW_MIN_STEPS, "_step_windows"),
+    (Zero(), Power(1.0, 2.0), WINDOW_MIN_STEPS - 1, "_step_singly"),
+    (Zero(), LinTimesExpLogPow(1.0, 0.5), WINDOW_MIN_STEPS, "_step_singly"),
+    (Zero(), LinTimesExpLogPow(1.0, 0.5), WINDOW_MIN_STEPS - 1, "_step_singly"),
+    (Power(1.0, 0.5), Power(1.0, 2.0), WINDOW_MIN_STEPS, "_step_singly"),
+], ids=["affine-at-threshold", "affine-below", "mapped-at-threshold", "mapped-below",
+        "f-nonzero"])
+def test_only_f_zero_an_array_form_g_and_enough_steps_take_the_window_kernel(
+        monkeypatch, f, g, n, kernel):
+    taken = []
+    for stepper in (_step_singly, _step_windows):
+        def spy(sc, history, stepper=stepper):
+            taken.append(stepper.__name__)
+            return stepper(sc, history)
+        monkeypatch.setattr(simulator, stepper.__name__, spy)
+    simulate_euler(scenario(f=f, g=g, steps_per_delay=n, horizon=3.0))
+    assert taken == [kernel]
 
 
 @dataclass(frozen=True)
@@ -239,8 +265,11 @@ class UndefinedPast(CoefficientSpec):
     def log_term(self, u: float) -> float:
         return u if u <= self.bound else math.nan
 
+    def log_terms(self, us: np.ndarray) -> np.ndarray:
+        return np.where(us <= self.bound, us, math.nan)
 
-@pytest.mark.parametrize("n", [1, 3, 4, 9])
+
+@pytest.mark.parametrize("n", [1, 3, 4, 9, WINDOW_MIN_STEPS])
 def test_both_steppers_report_an_undefined_state_alike(n):
     sc = scenario(g=UndefinedPast(2.0), steps_per_delay=n, horizon=50.0)
     messages = []
@@ -331,19 +360,27 @@ def test_a_larger_history_or_delayed_term_never_gives_a_smaller_state(g, f, n, l
         assert np.all(lower[:both] <= upper[:both])
 
 
-def test_window_memory_follows_the_steps_taken():
-    # 8e6 planned steps, cut by the cap after 119: a buffer sized to the
-    # horizon would take 64 MB
-    sc = scenario(g=ExpLogPow(1.0, 2.0), steps_per_delay=8, horizon=1e6)
-    assert sc.planned_steps() == 8_000_000
+def window_peak(sc):
+    """The window kernel's states, truncation and peak traced memory."""
+    history = [math.log(v) for v in sc.history_samples()]
     tracemalloc.start()
     try:
-        traj = simulate_euler(sc)
+        states, truncated = _step_windows(sc, history)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert traj.truncated
-    assert len(traj.log_states) == 128
+    return states, truncated, peak
+
+
+def test_window_memory_follows_the_steps_taken():
+    # log x about decuples per delay window, so the cap cuts 8e6 planned
+    # steps after 2,782, inside the first buffer: a buffer sized to the
+    # horizon would take 64 MB
+    sc = scenario(g=Power(1.0, 10.0), steps_per_delay=8, horizon=1e6)
+    assert sc.planned_steps() == 8_000_000
+    states, truncated, peak = window_peak(sc)
+    assert truncated
+    assert len(states) == 2791
     assert peak < 1_000_000
 
 
@@ -352,14 +389,9 @@ def test_window_memory_follows_the_steps_taken_past_the_first_buffer():
     # after 9,216: the state buffer grows, but never towards the horizon
     sc = scenario(g=Power(1.0, 2.0), steps_per_delay=8, history=ConstantHistory(2.0),
                   horizon=1e6)
-    tracemalloc.start()
-    try:
-        traj = simulate_euler(sc)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert traj.truncated
-    assert len(traj.log_states) == 9225
+    states, truncated, peak = window_peak(sc)
+    assert truncated
+    assert len(states) == 9225
     assert peak < 1_000_000
 
 
