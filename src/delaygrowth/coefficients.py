@@ -275,12 +275,15 @@ class Power(CoefficientSpec):
         _positive(self.coefficient, self._LABEL)
         _require(math.isfinite(self.exponent) and self.exponent >= 0,
                  f"power exponent must be nonnegative, got {self.exponent!r}")
+        # log c, which every log term adds: an attribute, not a field, so
+        # equality, repr and the name(args) text stay the parameters'
+        object.__setattr__(self, "_log_c", math.log(self.coefficient))
 
     def log_term(self, u: float) -> float:
-        return math.log(self.coefficient) + self.exponent * u
+        return self._log_c + self.exponent * u
 
     def log_terms(self, us: np.ndarray) -> np.ndarray:
-        return math.log(self.coefficient) + self.exponent * us
+        return self._log_c + self.exponent * us
 
     def regime(self) -> Regime:
         if self.exponent < 1:
@@ -378,9 +381,10 @@ class LinTimesExpLogPow(CoefficientSpec):
     def __post_init__(self):
         _positive(self.coefficient, "xexplogpow coefficient")
         _positive(self.exponent, "xexplogpow exponent")
+        object.__setattr__(self, "_log_c", math.log(self.coefficient))
 
     def log_term(self, u: float) -> float:
-        return math.log(self.coefficient) + u + _pow(u, self.exponent)
+        return self._log_c + u + _pow(u, self.exponent)
 
     def regime(self) -> Regime:
         if 0 < self.exponent < 1:
@@ -405,9 +409,10 @@ class ExpLogPow(CoefficientSpec):
     def __post_init__(self):
         _positive(self.coefficient, "explogpow coefficient")
         _positive(self.exponent, "explogpow exponent")
+        object.__setattr__(self, "_log_c", math.log(self.coefficient))
 
     def log_term(self, u: float) -> float:
-        return math.log(self.coefficient) + _pow(u, self.exponent)
+        return self._log_c + _pow(u, self.exponent)
 
     def regime(self) -> Regime:
         if self.exponent > 1:
@@ -437,10 +442,10 @@ class PowerLog(CoefficientSpec):
                  "powerlog exponents must be finite")
         _require(self.power > 0 or (self.power == 0 and self.log_power >= 0),
                  "powerlog needs power > 0, or power = 0 with log_power >= 0")
+        object.__setattr__(self, "_log_c", math.log(self.coefficient))
 
     def log_term(self, u: float) -> float:
-        return (math.log(self.coefficient) + self.power * u
-                + self.log_power * math.log(u))
+        return self._log_c + self.power * u + self.log_power * math.log(u)
 
     @property
     def monotone_from(self) -> float:
