@@ -139,6 +139,11 @@ class Scenario:
                 or self.steps_per_delay < 1:
             raise DomainError(
                 f"steps per delay must be a positive integer, got {self.steps_per_delay!r}")
+        # the history holds N + 1 samples, so N has the forward steps' bound
+        if self.steps_per_delay > MAX_STEPS:
+            raise DomainError(
+                f"steps per delay {self.steps_per_delay!r} exceeds the {MAX_STEPS} "
+                f"steps a run counts at most")
         steps = self.horizon / self.h
         if not steps <= MAX_STEPS:
             raise DomainError(
@@ -147,15 +152,15 @@ class Scenario:
         if isinstance(self.g, Zero):
             raise DomainError(
                 "the delayed term must be strictly positive; zero() is not")
-        for v in self.history_samples():
+        samples = self.history_samples()
+        for v in samples:
             _positive(v, "history value")
             if not self.g.supports(math.log(v)):
                 raise DomainError(
                     f"history value {v!r} lies outside the domain of the delayed term {self.g}")
-        start_log = math.log(self.history_samples()[-1])
-        if not self.f.supports(start_log):
+        if not self.f.supports(math.log(samples[-1])):
             raise DomainError(
-                f"initial value {self.history_samples()[-1]!r} lies outside the domain "
+                f"initial value {samples[-1]!r} lies outside the domain "
                 f"of the instantaneous term {self.f}")
 
     @property

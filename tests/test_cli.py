@@ -340,6 +340,17 @@ def test_a_run_beyond_the_state_budget_exits_2_before_simulating(monkeypatch, ca
                             "h = 0.25; a run counts at most 67108864\n")
 
 
+def test_steps_per_delay_past_the_budget_exit_2(capsys):
+    # one planned step; the 2^40 + 1 history samples are never built
+    code = main(["simulate", "g=power(1,0.5)", "tau=1", "psi=const(1)",
+                 "N=1099511627776", "horizon=1e-12"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: steps per delay 1099511627776 exceeds the 67108864 "
+                            "steps a run counts at most\n")
+
+
 @pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
 def test_verify_rejects_a_nonpositive_or_non_finite_tolerance(tol, capsys):
     code = main(["verify", "g=power(1,0.5)", "tau=1", "psi=const(1)",

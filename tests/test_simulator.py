@@ -1,5 +1,6 @@
 import io
 import math
+import time
 import tracemalloc
 from dataclasses import dataclass, replace
 
@@ -431,6 +432,21 @@ def test_a_scenario_of_exactly_the_state_budget_constructs():
     assert sc.planned_steps() == MAX_STEPS == 2**26
     with pytest.raises(DomainError, match="a run counts at most 67108864"):
         scenario(steps_per_delay=1, horizon=float(MAX_STEPS + 1))
+
+
+def test_steps_per_delay_past_the_budget_raise_before_any_sample_is_built():
+    # four planned steps, but 2^40 + 1 history samples: about 35 TB as floats
+    tracemalloc.start()
+    began = time.perf_counter()
+    try:
+        with pytest.raises(DomainError, match="^steps per delay 1099511627776 exceeds"):
+            scenario(steps_per_delay=2**40, horizon=4.0 / 2**40)
+        elapsed = time.perf_counter() - began
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1_000_000
 
 
 def test_planned_steps_handles_inexact_horizons():
