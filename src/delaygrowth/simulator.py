@@ -44,7 +44,7 @@ from .logdomain import LOG_CAP, log_add, log_scale
 
 # Below this many steps per delay the loop is as fast or faster.  Loop time over
 # window time, f = 0, on power(1,0.5), power(1,2) and linear(1): 0.5 at N = 4,
-# 0.9-1.0 at N = 8, 1.0-1.05 at N = 9, 1.1-1.15 at N = 10, 1.3-1.4 at N = 12.
+# 0.9-1.0 at N = 8, about 1.0 at N = 9, 1.1-1.2 at N = 10, 1.3-1.4 at N = 12.
 WINDOW_MIN_STEPS = 10
 
 # Most forward steps one run may plan: 512 MiB of float64 states.

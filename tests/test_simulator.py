@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from delaygrowth import simulator
 from delaygrowth.coefficients import (
     CoefficientSpec, Constant, ExpLogPow, Linear, Power, PowerLog, Zero,
     LinTimesExpLogPow,
 )
 from delaygrowth.errors import DomainError, HorizonExceeded
 from delaygrowth.functionals import ode_time
-from delaygrowth import simulator
 from delaygrowth.logdomain import LOG_CAP, log_add, log_scale
 from delaygrowth.simulator import (
     MAX_STEPS, WINDOW_MIN_STEPS, ConstantHistory, History, RampHistory, Scenario,
@@ -243,8 +243,8 @@ def test_window_kernel_truncates_where_the_step_loop_does(kw):
     (Zero(), LinTimesExpLogPow(1.0, 0.5), WINDOW_MIN_STEPS, "_step_singly"),
     (Zero(), LinTimesExpLogPow(1.0, 0.5), WINDOW_MIN_STEPS - 1, "_step_singly"),
     (Power(1.0, 0.5), Power(1.0, 2.0), WINDOW_MIN_STEPS, "_step_singly"),
-], ids=["affine-at-threshold", "affine-below", "mapped-at-threshold", "mapped-below",
-        "f-nonzero"])
+], ids=["affine-at-threshold", "affine-below", "no-array-form-at-threshold",
+        "no-array-form-below", "f-nonzero"])
 def test_only_f_zero_an_array_form_g_and_enough_steps_take_the_window_kernel(
         monkeypatch, f, g, n, kernel):
     taken = []
@@ -374,7 +374,7 @@ def window_peak(sc):
 
 
 def test_window_memory_follows_the_steps_taken():
-    # log x about decuples per delay window, so the cap cuts 8e6 planned
+    # log x grows about tenfold per delay window, so the cap cuts 8e6 planned
     # steps after 2,782, inside the first buffer: a buffer sized to the
     # horizon would take 64 MB
     sc = scenario(g=Power(1.0, 10.0), steps_per_delay=8, horizon=1e6)
