@@ -445,12 +445,12 @@ def derive_envelope_params(scenario: Scenario, eps: float) -> EnvelopeParams:
     prediction = predict(scenario)
     f, g, tau = scenario.f, scenario.g, scenario.tau
     shape = _LAWS[prediction.regime.kind].scale(g)
-    history_min = scenario.history_min()
+    samples = list(scenario.history_samples())  # x itself: exp of its logs need not round back
+    history_min, psi_sup = min(samples), max(samples)
     if shape.monotone_from > history_min or f.monotone_from > history_min:
         raise DomainError(
             "the envelope argument needs both the comparison scale and the "
             f"instantaneous term nondecreasing from the history minimum {history_min!r} on")
-    psi_sup = max(scenario.history_samples())
     lower = default_ode_lower(shape, psi_sup)
     rate = prediction.continuous_rate
     functional = ode_time(shape, lower, scale=rate)

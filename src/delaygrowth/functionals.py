@@ -135,7 +135,8 @@ class GrowthFunctional:
     """A growth functional F together with its lower reference and scale.
 
     Reported values are F(x) / scale; the scale carries regime constants
-    so that the scaled functional tends to t itself.
+    so that the scaled functional tends to t itself.  ``closed_form`` is
+    ``coeff.closed_ode(log_lower)`` (None for gain-time); both are attributes.
     """
 
     kind: FunctionalKind
@@ -149,16 +150,16 @@ class GrowthFunctional:
         _positive(self.lower, "lower reference")
         if self.kind is FunctionalKind.GAIN_TIME and self.lower < 1.0:
             raise DomainError("gain-time functionals start at 1 or above")
-        if not self.coeff.supports(math.log(self.lower)):
+        object.__setattr__(self, "log_lower", math.log(self.lower))
+        if not self.coeff.supports(self.log_lower):
             raise DomainError(
                 f"lower reference {self.lower!r} lies outside the domain of {self.coeff}")
-        if self.kind is FunctionalKind.ODE_TIME and self.coeff.closed_ode(self.log_lower) is None:
+        ode = self.kind is FunctionalKind.ODE_TIME
+        object.__setattr__(self, "closed_form",
+                           self.coeff.closed_ode(self.log_lower) if ode else None)
+        if ode and self.closed_form is None:
             raise DomainError(f"{self.coeff} has no closed-form ode-time functional")
         _positive(self.scale, "scale")
-
-    @property
-    def log_lower(self) -> float:
-        return math.log(self.lower)
 
     def describe(self) -> str:
         text = f"{self.kind.value}[{self.coeff}, lower={self.lower:g}"
@@ -259,16 +260,15 @@ def _check_argument(la: float, log_x: float) -> None:
 def _evaluator(functional: GrowthFunctional) -> Callable[[float], float]:
     """F(x)/scale as a function of log x, for arguments already checked.
 
-    The route follows the kind: the closed form for ode-time, quadrature
-    for gain-time.  The lower-limit work (log of the lower reference, the
-    closed form's lower term, the integrand) is done once here, so loops
-    over many arguments pay only for the upper limit.
+    The route follows the kind: ``closed_form`` for ode-time, quadrature
+    for gain-time (whose ``closed_form`` is None).  The lower-limit work
+    (the integrand) is done once here, so loops over many arguments pay
+    only for the upper limit.
     """
-    la, scale = functional.log_lower, functional.scale
-    if functional.kind is FunctionalKind.GAIN_TIME:
+    la, scale, closed = functional.log_lower, functional.scale, functional.closed_form
+    if closed is None:
         fn = _integrand(functional)
         return lambda log_x: _adaptive(fn, la, log_x) / scale
-    closed = functional.coeff.closed_ode(la)
     return lambda log_x: 0.0 if log_x == la else closed(log_x) / scale
 
 
@@ -296,7 +296,7 @@ def evaluate_many(functional: GrowthFunctional, log_xs: Sequence[float]) -> list
         for v in points:
             _check_argument(la, v)
     if functional.kind is FunctionalKind.ODE_TIME:
-        closed, scale = functional.coeff.closed_ode(la), functional.scale
+        closed, scale = functional.closed_form, functional.scale
         return [0.0 if v == la else closed(v) / scale for v in points]
     value_at = _evaluator(functional)
     if not all(b >= a for a, b in zip(points, points[1:])):

@@ -8,12 +8,13 @@ update is
 with x on the history segment [-tau, 0] given by a history function.  All
 states are carried in the log domain; a run that outgrows the log cap is
 returned truncated rather than failing, since reaching the cap quickly is
-exactly what the fast regimes do.  Both kernels take log h once per run
-and read each term's ``log_term`` with no domain check: the scenario has
-checked x[0] against f and every history point against g, and states
-past t = 0 never fall below x[0].  A trajectory holds its states as one
-read-only float64 array; readers that format or compute with states take
-them as Python floats (``state(n)``, or one ``.tolist()`` of the array).
+exactly what the fast regimes do.  Both kernels start from the scenario's
+``log_history``, take log h once per run and read each term's ``log_term``
+with no domain check: the scenario took those logs to check every history
+point against g, has checked x[0] against f, and states past t = 0 never
+fall below x[0].  A trajectory holds its states as one read-only float64
+array; readers that format or compute with states take them as Python
+floats (``state(n)``, or one ``.tolist()`` of the array).
 
 When f is zero, g has an array form (``log_terms``) and N >=
 ``WINDOW_MIN_STEPS``, the run advances one delay window at a time (the
@@ -33,7 +34,7 @@ import hashlib
 import itertools
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -47,12 +48,9 @@ from .logdomain import LOG_CAP, log_add, log_scale
 # 0.9-1.0 at N = 8, about 1.0 at N = 9, 1.1-1.2 at N = 10, 1.3-1.4 at N = 12.
 WINDOW_MIN_STEPS = 10
 
-# Most forward steps one run may plan: 512 MiB of float64 states.
+# Most forward steps one run may plan: the window kernel stores 8 bytes a
+# state, the per-step loop a Python list of about 32 a state until it returns.
 MAX_STEPS = 2**26
-
-# The window kernel's first state buffer; it doubles as the run needs, up to
-# the planned length, so a run cut early by the cap holds little memory.
-_FIRST_BUFFER = 4096
 
 # Hashed ahead of the states, so a fingerprint names its own definition.
 _FINGERPRINT_TAG = b"delaygrowth trajectory float64-le v2\n"
@@ -123,7 +121,7 @@ def parse_history(text: str) -> History:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One fully specified run of the delayed recursion."""
+    """One fully specified run; its attribute ``log_history`` is log x on the history grid."""
 
     f: CoefficientSpec
     g: CoefficientSpec
@@ -152,28 +150,30 @@ class Scenario:
         if isinstance(self.g, Zero):
             raise DomainError(
                 "the delayed term must be strictly positive; zero() is not")
-        samples = self.history_samples()
-        for v in samples:
+
+        def checked_log(v: float) -> float:
             _positive(v, "history value")
-            if not self.g.supports(math.log(v)):
+            if not self.g.supports(u := math.log(v)):
                 raise DomainError(
                     f"history value {v!r} lies outside the domain of the delayed term {self.g}")
-        if not self.f.supports(math.log(samples[-1])):
+            return u
+        logs = np.fromiter(map(checked_log, self.history_samples()), float,
+                           self.steps_per_delay + 1)
+        logs.flags.writeable = False
+        object.__setattr__(self, "log_history", logs)
+        if not self.f.supports(float(logs[-1])):
             raise DomainError(
-                f"initial value {samples[-1]!r} lies outside the domain "
+                f"initial value {self.history.at(1.0)!r} lies outside the domain "
                 f"of the instantaneous term {self.f}")
 
     @property
     def h(self) -> float:
         return self.tau / self.steps_per_delay
 
-    def history_samples(self) -> list[float]:
-        """History on the grid, oldest first: indices -N .. 0."""
+    def history_samples(self) -> Iterator[float]:
+        """History on the grid, oldest first: indices -N .. 0, one at a time."""
         n = self.steps_per_delay
-        return [self.history.at(k / n) for k in range(n + 1)]
-
-    def history_min(self) -> float:
-        return min(self.history_samples())
+        return (self.history.at(k / n) for k in range(n + 1))
 
     def planned_steps(self) -> int:
         # nudge past representation error when the horizon is an exact multiple
@@ -244,16 +244,15 @@ class Trajectory:
 
 def simulate_euler(scenario: Scenario) -> Trajectory:
     """Run the recursion in the log domain up to the horizon or the cap."""
-    history = [math.log(v) for v in scenario.history_samples()]
     windowed = (isinstance(scenario.f, Zero) and scenario.g.log_terms is not None
                 and scenario.steps_per_delay >= WINDOW_MIN_STEPS)
-    states, truncated = (_step_windows if windowed else _step_singly)(scenario, history)
+    states, truncated = (_step_windows if windowed else _step_singly)(scenario)
     return Trajectory(scenario=scenario, log_states=states, truncated=truncated)
 
 
-def _step_singly(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, bool]:
-    """The states after ``history``, one Euler step at a time, and whether
-    the cap cut the run.
+def _step_singly(scenario: Scenario) -> tuple[np.ndarray, bool]:
+    """The states from the history on, one Euler step at a time, and
+    whether the cap cut the run.
 
     Each step adds log f(x[n]) + log h and log g(x[n-N]) + log h to x[n]
     with two ``log_add``.  A sum or a term past the cap truncates the run
@@ -262,7 +261,7 @@ def _step_singly(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, 
     """
     log_h = log_scale(0.0, scenario.h)
     f_term, g_term = scenario.f.log_term, scenario.g.log_term
-    states = list(history)
+    states = scenario.log_history.tolist()  # Python floats: numpy scalars slow each step
     state = states[-1]
     # each step reads the delayed state x[n-N], the next one of the
     # growing list not yet read
@@ -279,13 +278,14 @@ def _step_singly(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, 
     return np.array(states), False
 
 
-def _step_windows(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, bool]:
-    """The states after ``history``, one delay window at a time (f must be
-    zero and g must have ``log_terms``), and whether the cap cut the run.
+def _step_windows(scenario: Scenario) -> tuple[np.ndarray, bool]:
+    """The states from the history on, one delay window at a time (f must
+    be zero and g must have ``log_terms``), and whether the cap cut the run.
 
     The N steps after state n read only states n-N .. n, so a window is the
     running log-sum of its seed x[n] and the terms log h + log g(x[k]),
-    computed in place in the state buffer.
+    computed in place in a state buffer that starts at the history and one
+    window and doubles as needed, so a run cut early holds little memory.
     """
     n_delay = scenario.steps_per_delay
     log_h = log_scale(0.0, scenario.h)
@@ -293,10 +293,10 @@ def _step_windows(scenario: Scenario, history: list[float]) -> tuple[np.ndarray,
     planned = scenario.planned_steps()
     full, rest = divmod(planned, n_delay)
     widths = itertools.chain(itertools.repeat(n_delay, full), [rest] if rest else [])
-    total = len(history) + planned
-    states = np.empty(min(total, max(_FIRST_BUFFER, len(history))))
-    filled = len(history)
-    states[:filled] = history
+    filled = len(scenario.log_history)
+    total = filled + planned
+    states = np.empty(min(total, 2 * filled))
+    states[:filled] = scenario.log_history
     # overflow and NaN are caught by the cap test below, not by numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for width in widths:

@@ -187,6 +187,24 @@ def test_evaluate_many_incremental_matches_pointwise():
         assert b == pytest.approx(s, rel=1e-8, abs=1e-10)
 
 
+@pytest.mark.parametrize("shape,lower", [
+    (Power(1.0, 0.5), 1.0), (Power(2.0, 2.0), 3.0), (Linear(1.5), math.e),
+    (PowerLog(1.0, 1.0, 1.0), math.e), (NestedLogProduct(), math.e),
+])
+def test_an_ode_time_functional_evaluates_through_the_closed_form_it_kept(shape, lower):
+    F = ode_time(shape, lower, scale=0.7)
+    closed = shape.closed_ode(math.log(lower))
+    us = [F.log_lower, F.log_lower + 0.5, 3.0 * F.log_lower + 2.0, 40.0]
+    expected = [0.0 if u == F.log_lower else closed(u) / 0.7 for u in us]
+    assert [v.hex() for v in evaluate_many(F, us)] == [v.hex() for v in expected]
+    assert [evaluate(F, u).hex() for u in us] == [v.hex() for v in expected]
+    # attributes, not fields: two equal functionals compare, hash and print alike
+    twin = ode_time(shape, lower, scale=0.7)
+    assert twin.closed_form is not F.closed_form
+    assert twin == F and hash(twin) == hash(F) and repr(twin) == repr(F)
+    assert gain_time(Linear(1.0)).closed_form is None
+
+
 def test_evaluate_many_handles_unsorted_and_empty():
     F = gain_time(LinTimesExpLogPow(1.0, 0.5))
     us = [5.0, 1.0, 3.0]

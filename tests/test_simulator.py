@@ -129,9 +129,10 @@ def test_direct_route_truncates_at_its_cap():
 # ---------------------------------------------------------------------------
 # both kernels against the reference kernel, and each other
 
-def reference_kernel(scenario: Scenario, history: list[float]) -> tuple[np.ndarray, bool]:
-    """The Euler step term by term: each term through the domain check of
-    ``value_log`` and through ``log_scale``, then two ``log_add``.
+def reference_kernel(scenario: Scenario) -> tuple[np.ndarray, bool]:
+    """The Euler step term by term from the logs of the history samples:
+    each term through the domain check of ``value_log`` and through
+    ``log_scale``, then two ``log_add``.
 
     ``_step_singly`` and ``_step_windows`` must give its states, its
     truncation and its errors bit for bit.
@@ -139,7 +140,7 @@ def reference_kernel(scenario: Scenario, history: list[float]) -> tuple[np.ndarr
     n_delay = scenario.steps_per_delay
     h = scenario.h
     f_log, g_log = scenario.f.value_log, scenario.g.value_log
-    states = list(history)
+    states = [math.log(v) for v in scenario.history_samples()]
     truncated = False
     for _ in range(scenario.planned_steps()):
         current = states[-1]
@@ -156,7 +157,7 @@ def reference_kernel(scenario: Scenario, history: list[float]) -> tuple[np.ndarr
 
 
 def run_with(stepper, sc):
-    states, truncated = stepper(sc, [math.log(v) for v in sc.history_samples()])
+    states, truncated = stepper(sc)
     return [v.hex() for v in states.tolist()], truncated
 
 
@@ -249,9 +250,9 @@ def test_only_f_zero_an_array_form_g_and_enough_steps_take_the_window_kernel(
         monkeypatch, f, g, n, kernel):
     taken = []
     for stepper in (_step_singly, _step_windows):
-        def spy(sc, history, stepper=stepper):
+        def spy(sc, stepper=stepper):
             taken.append(stepper.__name__)
-            return stepper(sc, history)
+            return stepper(sc)
         monkeypatch.setattr(simulator, stepper.__name__, spy)
     simulate_euler(scenario(f=f, g=g, steps_per_delay=n, horizon=3.0))
     assert taken == [kernel]
@@ -363,10 +364,9 @@ def test_a_larger_history_or_delayed_term_never_gives_a_smaller_state(g, f, n, l
 
 def window_peak(sc):
     """The window kernel's states, truncation and peak traced memory."""
-    history = [math.log(v) for v in sc.history_samples()]
     tracemalloc.start()
     try:
-        states, truncated = _step_windows(sc, history)
+        states, truncated = _step_windows(sc)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -375,8 +375,7 @@ def window_peak(sc):
 
 def test_window_memory_follows_the_steps_taken():
     # log x grows about tenfold per delay window, so the cap cuts 8e6 planned
-    # steps after 2,782, inside the first buffer: a buffer sized to the
-    # horizon would take 64 MB
+    # steps after 2,782: a buffer sized to the horizon would take 64 MB
     sc = scenario(g=Power(1.0, 10.0), steps_per_delay=8, horizon=1e6)
     assert sc.planned_steps() == 8_000_000
     states, truncated, peak = window_peak(sc)
@@ -385,9 +384,9 @@ def test_window_memory_follows_the_steps_taken():
     assert peak < 1_000_000
 
 
-def test_window_memory_follows_the_steps_taken_past_the_first_buffer():
+def test_window_memory_follows_the_steps_taken_on_a_slower_run():
     # log x about doubles per delay window, so the cap cuts 8e6 planned steps
-    # after 9,216: the state buffer grows, but never towards the horizon
+    # after 9,216: the state buffer grows further, but never towards the horizon
     sc = scenario(g=Power(1.0, 2.0), steps_per_delay=8, history=ConstantHistory(2.0),
                   horizon=1e6)
     states, truncated, peak = window_peak(sc)
@@ -421,13 +420,14 @@ def test_scenario_checks_domains_against_the_history():
     # the instantaneous term only sees states from t = 0 on
     sc = scenario(f=PowerLog(1.0, 1.0, 1.0), g=Linear(1.0),
                   history=RampHistory(0.5, 2.0))
-    assert sc.history_min() == 0.5
+    assert min(sc.history_samples()) == 0.5
     with pytest.raises(DomainError):
         scenario(f=PowerLog(1.0, 1.0, 1.0), g=Linear(1.0))
 
 
 def test_a_scenario_of_exactly_the_state_budget_constructs():
-    # constructed only: running it would store 512 MiB of states
+    # constructed only: running it would take the per-step loop, whose list
+    # of 2^26 + 2 states takes about 2 GiB
     sc = scenario(steps_per_delay=1, horizon=float(MAX_STEPS))
     assert sc.planned_steps() == MAX_STEPS == 2**26
     with pytest.raises(DomainError, match="a run counts at most 67108864"):
@@ -447,6 +447,41 @@ def test_steps_per_delay_past_the_budget_raise_before_any_sample_is_built():
         tracemalloc.stop()
     assert elapsed < 1.0
     assert peak < 1_000_000
+
+
+@given(zero_f_scenarios())
+def test_the_scenario_keeps_the_logs_of_its_history_samples(sc):
+    assert ([v.hex() for v in sc.log_history.tolist()]
+            == [math.log(v).hex() for v in sc.history_samples()])
+    assert sc.log_history.dtype == np.float64
+    with pytest.raises(ValueError):
+        sc.log_history[0] = 1.0
+    # an attribute, not a field: two equal scenarios compare, hash and print alike
+    twin = replace(sc)
+    assert twin.log_history is not sc.log_history
+    assert twin == sc and hash(twin) == hash(sc) and repr(twin) == repr(sc)
+    assert "log_history" not in repr(sc)
+
+
+@pytest.mark.parametrize("history", [ConstantHistory(1.0), RampHistory(1.0, 2.0)],
+                         ids=["const", "ramp"])
+def test_a_long_history_is_sampled_and_logged_once(history):
+    # four forward steps after 2^20 + 1 history samples: the scenario keeps
+    # their logs as one float64 array (8.4 MB) and the window kernel adds one
+    # state buffer (8.4 MB); no list of the samples or of their logs is built
+    n = 2**20
+    tracemalloc.start()
+    try:
+        sc = scenario(g=Power(1.0, 2.0), steps_per_delay=n, history=history, horizon=4.0 / n)
+        _, built = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        traj = simulate_euler(sc)
+        _, ran = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert traj.forward_steps == 4 and not traj.truncated
+    assert built < 9_000_000
+    assert ran < 20_000_000
 
 
 def test_planned_steps_handles_inexact_horizons():
