@@ -1,15 +1,20 @@
 """Rate prediction, empirical estimation, and envelope verification.
 
-The delayed term's regime fixes which observable of the trajectory has a
-known limit.  The regime table ``_LAWS`` is the single definition of these
-laws: observable, dominance probes on f, rate (at s = tau, and on the grid
-at s = tau + h where that is exact), functional and envelope scale.  In sum:
+Every rate law is the limit of F(x_n)/(n h) for one growth functional F,
+the observable, which the delayed term's regime fixes.  The regime table
+``_LAWS`` is the single definition of these laws: observable, dominance
+probes on f, rate (at s = tau, and on the grid at s = tau + h where that
+is exact), reported functional and envelope scale.  The iterated logs are
+the ode-time functionals of the envelope scales, each from the lower
+reference where it vanishes.  In sum:
 
-    sublinear        F(x_n)/(n h) -> 1          (ode-time functional of g)
-    linear (slope C) log(x_n)/(n h) -> lambda,  lambda = C exp(-lambda tau)
-    unit-index fast  G(x_n)/(n h) -> 1/(tau+h)  (gain-time functional of g)
-    polynomial (b)   loglog(x_n)/(n h) -> log(b)/(tau+h)
-    beyond poly (a)  logloglog(x_n)/(n h) -> log(a)/tau
+    sublinear        ode-time of g from 1               -> 1
+    linear (slope C) ode-time of x from 1 = log x       -> lambda = C exp(-lambda tau)
+    unit-index fast  gain-time of g from 1              -> 1/(tau+h)
+    polynomial (b)   ode-time of x log x from e
+                       = log log x                      -> log(b)/(tau+h)
+    beyond poly (a)  ode-time of nestedlog(3) from e^e - 1
+                       = log log log(1+x)               -> log(a)/tau
 
 ``predict`` checks the dominance hypotheses behind these laws with limit
 probes before committing, ``estimate_rate`` reads the observable off a
@@ -20,11 +25,12 @@ dominating curves of the form F(x) < (1+eps) t + c.
 from __future__ import annotations
 
 import math
-import statistics
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 from .coefficients import (
     CoefficientSpec, DEFAULT_PROBE_SCALES, Linear, LinTimesExpLogPow, LimitKind,
@@ -40,7 +46,7 @@ from .logdomain import log_add
 from .simulator import Scenario, Trajectory, simulate_euler
 
 __all__ = [
-    "Observable", "PredictionRefused", "EstimationError",
+    "PredictionRefused", "EstimationError",
     "HypothesisCheck", "Prediction", "predict", "default_functional",
     "solve_char_eq",
     "EstimateStatus", "RateEstimate", "estimate_rate",
@@ -50,13 +56,6 @@ __all__ = [
     "envelope_check", "envelope_margins",
     "SweepPoint", "SweepResult", "sweep_h",
 ]
-
-
-class Observable(Enum):
-    FUNCTIONAL_OVER_T = "functional-over-t"
-    LOG_OVER_T = "log-over-t"
-    LOGLOG_OVER_T = "loglog-over-t"
-    LOGLOGLOG_OVER_T = "logloglog-over-t"
 
 
 class PredictionRefused(Exception):
@@ -83,8 +82,12 @@ class HypothesisCheck:
 
 @dataclass(frozen=True)
 class Prediction:
+    """``observable`` is the functional the estimate reads, None where it
+    cannot be built; ``functional`` is the one reported, None for the
+    iterated logs."""
+
     regime: Regime
-    observable: Observable
+    observable: GrowthFunctional | None
     continuous_rate: float
     tau: float
     functional: GrowthFunctional | None
@@ -156,7 +159,7 @@ def _rv1_notes(g: CoefficientSpec, functional: GrowthFunctional | None) -> tuple
 
 
 class _Law(NamedTuple):
-    observable: Observable
+    label: str      # the observable's name in the prediction text
     # (condition, g -> denominator): f over the denominator must vanish
     probes: tuple[tuple[str, Callable[[CoefficientSpec], object]], ...]
     rate: Callable[[float | None, float], float]      # (regime index, s)
@@ -164,6 +167,9 @@ class _Law(NamedTuple):
     scale: Callable[[CoefficientSpec], CoefficientSpec]     # of the envelope
     functional: Callable[[CoefficientSpec], GrowthFunctional | None] = lambda g: None
     notes: Callable[..., tuple[str, ...]] = lambda g, functional: ()
+    # an iterated log: the observable is the scale's ode-time functional
+    # from here, not the reported functional
+    scale_lower: float | None = None
 
 
 # lambdas look public functions up at call time, where a tracer can wrap them
@@ -171,15 +177,15 @@ _OVER_X = ("f(x)/x -> 0", lambda g: Linear(1.0))
 _OVER_X_LOG_X = ("f(x)/(x log x) -> 0", lambda g: PowerLog(1.0, 1.0, 1.0))
 _LAWS = {
     RegimeKind.SUBLINEAR_RV: _Law(
-        Observable.FUNCTIONAL_OVER_T, (("f(x)/g(x) -> 0", lambda g: g),),
+        "functional-over-t", (("f(x)/g(x) -> 0", lambda g: g),),
         rate=lambda index, s: 1.0, grid_exact=True,
         scale=lambda g: g, functional=lambda g: ode_time(g, 1.0)),
     RegimeKind.LINEAR_RV: _Law(
-        Observable.LOG_OVER_T, (_OVER_X,),
+        "log-over-t", (_OVER_X,),
         rate=lambda index, s: solve_char_eq(index, s), grid_exact=False,
-        scale=lambda g: Linear(1.0)),
+        scale=lambda g: Linear(1.0), scale_lower=1.0),
     RegimeKind.RV1_SUPERLINEAR: _Law(
-        Observable.FUNCTIONAL_OVER_T,
+        "functional-over-t",
         (_OVER_X, ("f(x)/(x log(g(x)/x)) -> 0", _log_gain_denominator)),
         rate=lambda index, s: 1.0 / s, grid_exact=True,
         scale=_rv1_scale,
@@ -187,13 +193,14 @@ _LAWS = {
         functional=lambda g: gain_time(g) if g.supports(0.0) else None,
         notes=_rv1_notes),
     RegimeKind.POLY_SUPERLINEAR: _Law(
-        Observable.LOGLOG_OVER_T, (_OVER_X, _OVER_X_LOG_X),
+        "loglog-over-t", (_OVER_X, _OVER_X_LOG_X),
         rate=lambda index, s: math.log(index) / s, grid_exact=True,
-        scale=lambda g: PowerLog(1.0, 1.0, 1.0)),
+        scale=lambda g: PowerLog(1.0, 1.0, 1.0), scale_lower=math.e),
     RegimeKind.FASTER_THAN_POLY: _Law(
-        Observable.LOGLOGLOG_OVER_T, (_OVER_X_LOG_X,),
+        "logloglog-over-t", (_OVER_X_LOG_X,),
         rate=lambda index, s: math.log(index) / s, grid_exact=False,
-        scale=lambda g: NestedLogProduct()),
+        # log log(1+x) is 1.0 at expm1(e), so the triple log's lower term is 0.0
+        scale=lambda g: NestedLogProduct(), scale_lower=math.expm1(math.e)),
 }
 
 
@@ -218,8 +225,10 @@ def predict(scenario: Scenario) -> Prediction:
         detail = "; ".join(f"{c.condition} came out {c.verdict.describe()}" for c in failed)
         raise PredictionRefused(f"dominance hypothesis failed: {detail}")
 
-    functional = default_functional(g)
-    return Prediction(regime=regime, observable=law.observable,
+    functional = law.functional(g)
+    observable = functional if law.scale_lower is None else \
+        ode_time(law.scale(g), law.scale_lower)
+    return Prediction(regime=regime, observable=observable,
                       continuous_rate=law.rate(regime.index, tau), tau=tau,
                       functional=functional, checks=checks,
                       notes=law.notes(g, functional))
@@ -256,36 +265,16 @@ class RateEstimate:
 MIN_POST_WARMUP = 100
 
 
-def _observable_values(trajectory: Trajectory, observable: Observable,
-                       functional: GrowthFunctional | None,
-                       ns: range) -> list[float]:
-    offset = trajectory.n_start
-    states = trajectory.log_states[ns.start - offset:ns.stop - offset].tolist()
-    if observable is Observable.FUNCTIONAL_OVER_T:
-        if functional is None:
-            raise DomainError("this observable needs a growth functional")
-        return evaluate_many(functional, states)
-    if observable is Observable.LOG_OVER_T:
-        return states
-    try:
-        if observable is Observable.LOGLOG_OVER_T:
-            return [math.log(s) for s in states]
-        return [math.log(math.log(s)) for s in states]
-    except ValueError as exc:
-        raise EstimationError(
-            f"observable {observable.value} undefined on part of the tail") from exc
-
-
-def estimate_rate(trajectory: Trajectory, observable: Observable,
-                  functional: GrowthFunctional | None = None,
+def estimate_rate(trajectory: Trajectory, functional: GrowthFunctional,
                   tolerance: float | None = None) -> RateEstimate:
-    """Read the observable's limit off the trajectory tail.
+    """Read the limit of F(x_n)/(n h) for the functional F off the trajectory tail.
 
     The warmup is ten delay windows (at least 100 samples); at least 100
     samples must remain past it.  The point estimate is the median ratio
     over the final quarter of the usable range (at least 30 samples), and
     the estimate counts as converged when the tail's spread is within the
-    tolerance (relative 5% by default).
+    tolerance (relative 5% by default).  A tail state below F's lower
+    reference raises DomainError, as ``evaluate_many`` does.
     """
     n_delay = -trajectory.n_start
     warmup = max(10 * n_delay, 100)
@@ -296,17 +285,15 @@ def estimate_rate(trajectory: Trajectory, observable: Observable,
             f"{max(post, 0)} samples past warmup {warmup}; need {MIN_POST_WARMUP} "
             f"(simulate longer or reduce the warmup by lowering steps per delay)")
     tail = max(30, post // 4)
-    ns = range(final - tail + 1, final + 1)
-    values = _observable_values(trajectory, observable, functional, ns)
-    h = trajectory.h
-    ratios = [v / (n * h) for v, n in zip(values, ns)]
-    point = statistics.median(ratios)
-    dispersion = max(ratios) - min(ratios)
+    values = evaluate_many(functional, trajectory.log_states[-tail:].tolist())
+    # float64 n * h and v / (n h) round as the scalar operations do
+    ratios = np.divide(values, np.arange(final - tail + 1, final + 1) * trajectory.h)
+    point = float(np.median(ratios))
+    dispersion = float(ratios.max() - ratios.min())
     allowed = tolerance if tolerance is not None else 0.05 * abs(point)
     if dispersion <= allowed:
         status = EstimateStatus.CONVERGED
-    elif all(b > a for a, b in zip(ratios, ratios[1:])) \
-            or all(b < a for a, b in zip(ratios, ratios[1:])):
+    elif (ratios[1:] > ratios[:-1]).all() or (ratios[1:] < ratios[:-1]).all():
         status = EstimateStatus.TRENDING
     else:
         status = EstimateStatus.INCONCLUSIVE
@@ -316,7 +303,7 @@ def estimate_rate(trajectory: Trajectory, observable: Observable,
 
 def _require_observable(prediction: Prediction, g: CoefficientSpec) -> None:
     """Refuse, before any simulation, a prediction whose observable cannot be read."""
-    if prediction.observable is Observable.FUNCTIONAL_OVER_T and prediction.functional is None:
+    if prediction.observable is None:
         raise PredictionRefused(
             f"no usable functional to verify the {prediction.regime.kind.value} "
             f"rate for {g}")
@@ -348,7 +335,7 @@ def verify_scenario(scenario: Scenario, tolerance: float = 0.05) -> Verification
     prediction = predict(scenario)
     _require_observable(prediction, scenario.g)
     trajectory = simulate_euler(scenario)
-    estimate = estimate_rate(trajectory, prediction.observable, prediction.functional)
+    estimate = estimate_rate(trajectory, prediction.observable)
     h = scenario.h
     discrete = prediction.discrete_rate(h)
     target = prediction.continuous_rate if discrete is None else discrete
@@ -367,7 +354,7 @@ def format_prediction(prediction: Prediction, h: float) -> str:
     lines = [f"regime: {prediction.regime.describe()}"]
     for check in prediction.checks:
         lines.append(f"  check {check.describe()}")
-    lines.append(f"observable: {prediction.observable.value}")
+    lines.append(f"observable: {_LAWS[prediction.regime.kind].label}")
     lines.append(f"continuous rate: {prediction.continuous_rate!r}")
     discrete = prediction.discrete_rate(h)
     if discrete is None:
@@ -550,7 +537,6 @@ class SweepPoint:
 @dataclass(frozen=True)
 class SweepResult:
     regime: Regime
-    observable: Observable
     continuous_rate: float
     points: tuple[SweepPoint, ...]
 
@@ -577,14 +563,11 @@ def sweep_h(f: CoefficientSpec, g: CoefficientSpec, tau: float, history,
     points = []
     for sc in scenarios:
         trajectory = simulate_euler(sc)
-        functional = prediction.functional
-        estimate = estimate_rate(trajectory, prediction.observable, functional,
-                                 tolerance=tolerance)
+        estimate = estimate_rate(trajectory, prediction.observable, tolerance=tolerance)
         points.append(SweepPoint(steps_per_delay=sc.steps_per_delay, h=sc.h,
                                  predicted=prediction.discrete_rate(sc.h),
                                  estimated=estimate.point,
                                  status=estimate.status))
     points.sort(key=lambda p: -p.h)
-    return SweepResult(regime=prediction.regime, observable=prediction.observable,
-                       continuous_rate=prediction.continuous_rate,
+    return SweepResult(regime=prediction.regime, continuous_rate=prediction.continuous_rate,
                        points=tuple(points))

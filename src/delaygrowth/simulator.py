@@ -255,19 +255,24 @@ def _step_singly(scenario: Scenario) -> tuple[np.ndarray, bool]:
     whether the cap cut the run.
 
     Each step adds log f(x[n]) + log h and log g(x[n-N]) + log h to x[n]
-    with two ``log_add``.  A sum or a term past the cap truncates the run
-    before a NaN state raises SimulationError; a NaN sum hides g's term
-    from ``log_add``'s cap test, so that term is tested on its own.
+    with two ``log_add``; f's is skipped when f is zero, since ``log_add``
+    hands x[n] back for its -inf term.  A sum or a term past the cap
+    truncates the run before a NaN state raises SimulationError; a NaN sum
+    hides g's term from ``log_add``'s cap test, so that term is tested on
+    its own.
     """
     log_h = log_scale(0.0, scenario.h)
-    f_term, g_term = scenario.f.log_term, scenario.g.log_term
+    f_term = None if isinstance(scenario.f, Zero) else scenario.f.log_term
+    g_term = scenario.g.log_term
     states = scenario.log_history.tolist()  # Python floats: numpy scalars slow each step
     state = states[-1]
     # each step reads the delayed state x[n-N], the next one of the
     # growing list not yet read
     for delayed in itertools.islice(states, scenario.planned_steps()):
         try:
-            state = log_add(log_add(state, f_term(state) + log_h), g_term(delayed) + log_h)
+            if f_term is not None:
+                state = log_add(state, f_term(state) + log_h)
+            state = log_add(state, g_term(delayed) + log_h)
         except HorizonExceeded:
             return np.array(states), True
         if state != state:      # NaN

@@ -15,7 +15,7 @@ import pytest
 
 from delaygrowth import (
     ConstantHistory, ExpLogPow, Linear, LinTimesExpLogPow, NestedLogProduct,
-    Observable, Power, PowerLog, Scenario, Zero, envelope_check, estimate_rate,
+    Power, PowerLog, Scenario, Zero, envelope_check, estimate_rate,
     evaluate, gain_time, ode_time, predict, simulate_euler, sweep_h,
 )
 from delaygrowth.analysis import EstimateStatus
@@ -41,7 +41,7 @@ def _scenario(g, n, horizon, f=Zero(), psi=1.0):
 def _estimate(scenario):
     prediction = predict(scenario)
     trajectory = simulate_euler(scenario)
-    return estimate_rate(trajectory, prediction.observable, prediction.functional)
+    return estimate_rate(trajectory, prediction.observable)
 
 
 def test_01_sublinear_rate_and_grid_independence():
@@ -49,7 +49,7 @@ def test_01_sublinear_rate_and_grid_independence():
     # H(x_h(n))/(nh) tends to 1 on every grid
     scenario = _scenario(Power(1.0, 0.5), 10, 2000.0)
     prediction = predict(scenario)
-    assert prediction.observable is Observable.FUNCTIONAL_OVER_T
+    assert prediction.observable is prediction.functional
     u = 2.0
     assert evaluate(prediction.functional, u) == pytest.approx(
         2.0 * (math.exp(u / 2.0) - 1.0), rel=1e-12)

@@ -1,12 +1,13 @@
 import math
 import pathlib
+import statistics
 
 import mpmath
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from delaygrowth.analysis import (
-    _LAWS, EstimateStatus, EstimationError, Observable, Prediction, PredictionRefused,
+    _LAWS, EstimateStatus, EstimationError, Prediction, PredictionRefused,
     RateEstimate, default_functional, derive_envelope_params, envelope_check,
     envelope_margins, estimate_rate, format_prediction, format_verification,
     predict, solve_char_eq, sweep_h, verify_scenario,
@@ -18,7 +19,9 @@ from delaygrowth.coefficients import (
 from delaygrowth.cli import build_scenario, load_config
 from delaygrowth.errors import DomainError, HorizonExceeded
 from delaygrowth.functionals import evaluate as evaluate_fn
-from delaygrowth.functionals import default_ode_lower, gain_time, invert, ode_time
+from delaygrowth.functionals import (
+    NestedLogProduct, default_ode_lower, evaluate_many, gain_time, invert, ode_time,
+)
 from delaygrowth.simulator import ConstantHistory, Scenario, Trajectory, simulate_euler
 from undelayed import undelayed_log_states
 
@@ -97,7 +100,7 @@ def test_characteristic_root_validation():
 def test_sublinear_prediction():
     pred = predict(scenario())
     assert pred.regime.kind.value == "sublinear-rv"
-    assert pred.observable is Observable.FUNCTIONAL_OVER_T
+    assert pred.observable is pred.functional
     assert pred.continuous_rate == 1.0
     assert pred.discrete_rate(0.25) == 1.0
     assert pred.functional == ode_time(Constant(2.0), 1.0)
@@ -108,7 +111,7 @@ def test_sublinear_prediction():
 def test_linear_prediction():
     pred = predict(scenario(f=Power(1.0, 0.5), g=Linear(1.0)))
     assert pred.regime.kind.value == "linear-rv"
-    assert pred.observable is Observable.LOG_OVER_T
+    assert pred.observable == ode_time(Linear(1.0), 1.0)
     assert pred.continuous_rate == pytest.approx(0.5671432904097838, abs=1e-10)
     assert pred.discrete_rate(0.25) is None
     assert pred.functional is None
@@ -118,7 +121,7 @@ def test_rv1_prediction_carries_the_secondary_form():
     g = LinTimesExpLogPow(1.0, 0.5)
     pred = predict(scenario(f=Power(1.0, 0.5), g=g))
     assert pred.regime.kind.value == "rv1-superlinear"
-    assert pred.observable is Observable.FUNCTIONAL_OVER_T
+    assert pred.observable is pred.functional
     assert pred.continuous_rate == pytest.approx(1.0)
     assert pred.discrete_rate(0.25) == pytest.approx(1.0 / 1.25)
     assert pred.functional == gain_time(g)
@@ -130,13 +133,14 @@ def test_rv1_prediction_with_a_shape_vanishing_at_one():
     pred = predict(scenario(g=PowerLog(1.0, 1.0, 2.0),
                             history=ConstantHistory(2.0)))
     assert pred.regime.kind.value == "rv1-superlinear"
-    assert pred.functional is None
+    assert pred.functional is None and pred.observable is None
     assert any("undefined" in note for note in pred.notes)
 
 
 def test_poly_prediction():
     pred = predict(scenario(g=Power(1.0, 2.0), history=ConstantHistory(2.0)))
-    assert pred.observable is Observable.LOGLOG_OVER_T
+    assert pred.observable == ode_time(PowerLog(1.0, 1.0, 1.0), math.e)
+    assert pred.functional is None
     assert pred.continuous_rate == pytest.approx(math.log(2.0))
     assert pred.discrete_rate(0.25) == pytest.approx(math.log(2.0) / 1.25)
     assert len(pred.checks) == 2 and all(c.passed for c in pred.checks)
@@ -145,7 +149,8 @@ def test_poly_prediction():
 def test_faster_than_poly_prediction():
     pred = predict(scenario(f=Linear(3.0), g=ExpLogPow(1.0, 2.0),
                             history=ConstantHistory(3.0)))
-    assert pred.observable is Observable.LOGLOGLOG_OVER_T
+    assert pred.observable == ode_time(NestedLogProduct(), math.expm1(math.e))
+    assert pred.functional is None
     assert pred.continuous_rate == pytest.approx(math.log(2.0))
     assert pred.discrete_rate(0.25) is None
 
@@ -450,9 +455,13 @@ def test_every_supported_regime_builds_its_ode_time_functionals(g, floor):
 # ---------------------------------------------------------------------------
 # rate estimation on synthetic trajectories
 
+# log x, the linear regime's observable
+LOG_X = ode_time(Linear(1.0), 1.0)
+
+
 def test_estimate_converges_on_exact_ratios():
     traj = synthetic_trajectory(lambda n: 0.7 * n)
-    est = estimate_rate(traj, Observable.LOG_OVER_T)
+    est = estimate_rate(traj, LOG_X)
     assert est.status is EstimateStatus.CONVERGED
     assert est.point == pytest.approx(0.7)
     assert est.dispersion == 0.0
@@ -462,49 +471,49 @@ def test_estimate_converges_on_exact_ratios():
 
 def test_estimate_flags_a_monotone_trend():
     traj = synthetic_trajectory(lambda n: n + 300.0 if n else 0.0)
-    est = estimate_rate(traj, Observable.LOG_OVER_T)
+    est = estimate_rate(traj, LOG_X)
     assert est.status is EstimateStatus.TRENDING
     assert est.point > 1.0
 
 
 def test_estimate_flags_oscillation():
     traj = synthetic_trajectory(lambda n: n * (1.0 + 0.3 * (-1) ** n))
-    est = estimate_rate(traj, Observable.LOG_OVER_T)
+    est = estimate_rate(traj, LOG_X)
     assert est.status is EstimateStatus.INCONCLUSIVE
 
 
 def test_estimate_converges_through_a_slow_transient():
     # ratios 0.8 + 3/n: the tail of a long run pins the limit tightly
     traj = synthetic_trajectory(lambda n: 0.8 * n + 3.0, count=10000)
-    est = estimate_rate(traj, Observable.LOG_OVER_T)
+    est = estimate_rate(traj, LOG_X)
     assert est.status is EstimateStatus.CONVERGED
     assert abs(est.point - 0.8) < 0.002
 
 
 def test_estimate_accepts_an_explicit_tolerance():
     traj = synthetic_trajectory(lambda n: n + 300.0 if n else 0.0)
-    est = estimate_rate(traj, Observable.LOG_OVER_T, tolerance=10.0)
+    est = estimate_rate(traj, LOG_X, tolerance=10.0)
     assert est.status is EstimateStatus.CONVERGED
 
 
 def test_estimate_needs_enough_samples_past_warmup():
     traj = synthetic_trajectory(lambda n: 0.7 * n, count=150)
     with pytest.raises(EstimationError):
-        estimate_rate(traj, Observable.LOG_OVER_T)
+        estimate_rate(traj, LOG_X)
     # warmup scales with the number of steps per delay
     traj20 = synthetic_trajectory(lambda n: 0.7 * n, count=250,
                                   steps_per_delay=20, tau=20.0)
     with pytest.raises(EstimationError):
-        estimate_rate(traj20, Observable.LOG_OVER_T)
+        estimate_rate(traj20, LOG_X)
 
 
 def test_estimate_of_iterated_log_observables():
     traj = synthetic_trajectory(lambda n: math.exp(0.8 * n))
-    est = estimate_rate(traj, Observable.LOGLOG_OVER_T)
+    est = estimate_rate(traj, ode_time(PowerLog(1.0, 1.0, 1.0), math.e))
     assert est.status is EstimateStatus.CONVERGED
     assert est.point == pytest.approx(0.8)
     traj3 = synthetic_trajectory(lambda n: math.exp(math.exp(0.02 * n)))
-    est3 = estimate_rate(traj3, Observable.LOGLOGLOG_OVER_T)
+    est3 = estimate_rate(traj3, ode_time(NestedLogProduct(), math.expm1(math.e)))
     assert est3.point == pytest.approx(0.02)
 
 
@@ -513,16 +522,77 @@ def test_estimate_functional_observable_exactly():
     sc = Scenario(f=Zero(), g=Constant(2.0), tau=1.0, steps_per_delay=1,
                   history=ConstantHistory(1.0), horizon=250.0)
     traj = simulate_euler(sc)
-    est = estimate_rate(traj, Observable.FUNCTIONAL_OVER_T,
-                        ode_time(Constant(2.0), 1.0))
+    est = estimate_rate(traj, ode_time(Constant(2.0), 1.0))
     assert est.status is EstimateStatus.CONVERGED
     assert est.point == pytest.approx(1.0, rel=1e-9)
 
 
-def test_functional_observable_requires_a_functional():
-    traj = synthetic_trajectory(lambda n: 0.7 * n)
-    with pytest.raises(DomainError):
-        estimate_rate(traj, Observable.FUNCTIONAL_OVER_T)
+def test_a_tail_below_the_lower_reference_is_a_domain_error():
+    # log x_n = -0.7 n: x < 1 on the whole tail, below log x's reference
+    traj = synthetic_trajectory(lambda n: -0.7 * n)
+    with pytest.raises(DomainError, match="below the lower reference"):
+        estimate_rate(traj, LOG_X)
+
+
+def reference_iterated_log(label, log_states):
+    """The iterated logs of log x as the estimate once took them, one
+    branch per label: the reference for the ode-time functionals that
+    replaced them, which must give the same values bit for bit."""
+    if label == "log-over-t":
+        return list(log_states)
+    if label == "loglog-over-t":
+        return [math.log(s) for s in log_states]
+    assert label == "logloglog-over-t"
+    return [math.log(math.log(s)) for s in log_states]
+
+
+def assert_observable_matches_the_reference(sc):
+    """The observable's values over the estimate's tail against the
+    reference iterated log, and the estimate against the scalar median and
+    spread of their ratios, bit for bit; returns the estimate."""
+    prediction = predict(sc)
+    label = _LAWS[prediction.regime.kind].label
+    trajectory = simulate_euler(sc)
+    est = estimate_rate(trajectory, prediction.observable)
+    tail = trajectory.log_states[-est.tail:].tolist()
+    ours = evaluate_many(prediction.observable, tail)
+    assert [v.hex() for v in ours] == \
+        [v.hex() for v in reference_iterated_log(label, tail)]
+    ratios = [v / (n * sc.h) for v, n in
+              zip(ours, range(trajectory.forward_steps - est.tail + 1,
+                              trajectory.forward_steps + 1))]
+    assert est.point == statistics.median(ratios)
+    assert est.dispersion == max(ratios) - min(ratios)
+    return est
+
+
+@pytest.mark.parametrize("name", ["linear_n16", "linear_n32", "linear_n64",
+                                  "poly_dominated_f", "poly_n4"])
+def test_iterated_log_functionals_match_the_reference_on_the_configs(name):
+    config = load_config([str(ROOT / "configs" / f"{name}.cfg")])
+    assert config.command == "verify"
+    assert_observable_matches_the_reference(build_scenario(config))
+
+
+# a sample of the linear and polynomial census, psi = const(1): every one
+# reaches an estimate
+@pytest.mark.parametrize("g,tau,n", [
+    (Linear(0.5), 0.5, 1), (Linear(1.0), 1.0, 4), (Linear(2.0), 2.0, 16),
+    (Power(0.5, 1.5), 2.0, 2), (Power(1.0, 2.0), 0.5, 8), (Power(2.0, 3.0), 1.0, 16),
+    (Power(1.0, 3.0), 2.0, 1), (Power(0.5, 2.0), 1.0, 4),
+])
+def test_iterated_log_functionals_match_the_reference_on_the_census(g, tau, n):
+    sc = Scenario(f=Zero(), g=g, tau=tau, steps_per_delay=n,
+                  history=ConstantHistory(1.0), horizon=300.0 * tau)
+    assert_observable_matches_the_reference(sc)
+
+
+def test_triple_log_functional_matches_the_reference_past_polynomial():
+    sc = Scenario(f=Zero(), g=ExpLogPow(1.0, 1.05), tau=1.0, steps_per_delay=4,
+                  history=ConstantHistory(2.0), horizon=3000.0)
+    est = assert_observable_matches_the_reference(sc)
+    assert est.tail == 137
+    assert est.point == 0.04055877943454593
 
 
 # ---------------------------------------------------------------------------

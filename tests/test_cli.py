@@ -192,6 +192,41 @@ def test_short_runs_exit_3(capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
+# a tail state below the observable's lower reference is the functional's
+# domain error, exit 2, in every regime
+@pytest.mark.parametrize("command,args,err", [
+    # sublinear and linear: x < 1
+    ("verify", ["g=power(1e-6,0.5)", "psi=const(1e-10)"],
+     "error: argument log x = -17.984866235793223 lies below the lower reference (log 0)\n"),
+    ("verify", ["g=linear(0.01)", "psi=const(1e-10)"],
+     "error: argument log x = -20.736403694339472 lies below the lower reference (log 0)\n"),
+    ("sweep", ["g=linear(0.01)", "psi=const(1e-10)"],
+     "error: argument log x = -20.736403694339472 lies below the lower reference (log 0)\n"),
+    # rv1: the window count starts at 1, where g's domain starts, and a
+    # history outside g's domain is refused before any step
+    ("verify", ["g=xexplogpow(1,0.5)", "psi=const(0.5)"],
+     "error: history value 0.5 lies outside the domain of the delayed term "
+     "xexplogpow(1.0,0.5)\n"),
+    # polynomial: x < e, with log x below and above 0
+    ("verify", ["g=power(1,2)", "psi=const(1e-10)"],
+     "error: argument log x = -23.025850906790044 lies below the lower reference (log 1)\n"),
+    ("verify", ["g=power(1e-9,2)", "psi=const(2)"],
+     "error: argument log x = 0.6931476435600518 lies below the lower reference (log 1)\n"),
+    # beyond polynomial: x < e^e - 1, with log log x below and above 0
+    ("verify", ["g=explogpow(1e-9,2)", "psi=const(1)"],
+     "error: argument log x = 2.3149997320388328e-07 lies below the lower reference "
+     "(log 2.65002)\n"),
+    ("verify", ["g=explogpow(1e-9,2)", "psi=const(5)"],
+     "error: argument log x = 1.6094385297821914 lies below the lower reference "
+     "(log 2.65002)\n"),
+])
+def test_a_tail_below_the_lower_reference_exits_2_in_every_regime(command, args, err, capsys):
+    n = "N=4,8,16" if command == "sweep" else "N=4"
+    assert main([command, *args, "tau=1", n, "horizon=300"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 def test_sweep_emits_the_table_and_limit_row(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "g=const(2)", "tau=1", "psi=const(1)",
